@@ -6,9 +6,9 @@ The periodic cross-correlation of equal-sized arrays A, B at shift s is
 
 (entries are real integers, so the conjugate in the general definition is
 the identity). `full_correlation` evaluates this sum directly in integer
-arithmetic and is the canonical oracle; `full_correlation_fast` computes
-the same table through FFTs and must reproduce the oracle bit-exactly
-after rounding, guarded by a residual check.
+arithmetic and is the canonical oracle; `full_correlation_fast` rounds the
+float table of `fft_correlation`, the one FFT kernel, and must reproduce
+the oracle bit-exactly, guarded by a residual check.
 """
 
 from __future__ import annotations
@@ -73,6 +73,14 @@ def full_correlation(a, b) -> IntArray:
     return IntArray(table)
 
 
+def fft_correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Unrounded float table theta_{x,y}(s) of two equal-shape float arrays."""
+    axes = tuple(range(x.ndim))
+    fx = np.fft.rfftn(x, s=x.shape, axes=axes)
+    fy = np.fft.rfftn(y, s=x.shape, axes=axes)
+    return np.fft.irfftn(np.conj(fx) * fy, s=x.shape, axes=axes)
+
+
 def full_correlation_fast(a, b) -> IntArray:
     """FFT-accelerated correlation table; must equal full_correlation.
 
@@ -83,10 +91,7 @@ def full_correlation_fast(a, b) -> IntArray:
     _check_same_dims(a, b)
     if a.size > FAST_SIZE_LIMIT:
         raise ValueError(f"array size {a.size} exceeds fast-path limit {FAST_SIZE_LIMIT}")
-    axes = tuple(range(a.rank))
-    fa = np.fft.rfftn(a.values.astype(np.float64), s=a.dims, axes=axes)
-    fb = np.fft.rfftn(b.values.astype(np.float64), s=a.dims, axes=axes)
-    table = np.fft.irfftn(np.conj(fa) * fb, s=a.dims, axes=axes)
+    table = fft_correlation(a.values.astype(np.float64), b.values.astype(np.float64))
     rounded = np.rint(table)
     residual = float(np.abs(table - rounded).max())
     if residual >= RESIDUAL_TOLERANCE:
@@ -135,17 +140,14 @@ class CorrelationReport:
 
 
 def _bound_report(table, mode, members, bound, expected_values):
-    dims = table.shape
-    origin = (0,) * table.ndim
-    peak_value = int(table[origin])
-    if mode == "auto":
-        mask = np.ones(dims, dtype=bool)
-        mask[origin] = False
-    else:
-        mask = np.ones(dims, dtype=bool)
-    region = table[mask]
-    max_abs = int(np.abs(region).max())
-    attaining = np.argwhere(mask & (np.abs(table) == max_abs))
+    # The zero shift is flat index 0 in C order; auto mode bounds every
+    # other shift, cross mode bounds all of them.
+    flat = table.reshape(-1)
+    start = 1 if mode == "auto" else 0
+    region = flat[start:]
+    abs_region = np.abs(region)
+    max_abs = int(abs_region.max())
+    attaining = np.unravel_index(np.flatnonzero(abs_region == max_abs) + start, table.shape)
     values, counts = np.unique(region, return_counts=True)
     histogram = {int(v): int(c) for v, c in zip(values, counts)}
     observed = set(histogram)
@@ -157,9 +159,9 @@ def _bound_report(table, mode, members, bound, expected_values):
         mode=mode,
         members=members,
         bound=bound,
-        peak_value=peak_value,
+        peak_value=int(flat[0]),
         off_peak_max_abs=max_abs,
-        peak_shifts=tuple(tuple(int(x) for x in s) for s in attaining),
+        peak_shifts=tuple(zip(*(axis.tolist() for axis in attaining))),
         value_histogram=histogram,
         passed=max_abs <= bound,
         values_match_derivation=match,

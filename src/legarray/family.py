@@ -97,12 +97,10 @@ def is_perfect(arr) -> bool:
 
 def _first_imperfect_shift(arr):
     table = full_correlation(arr, arr).values
-    mask = np.ones(arr.dims, dtype=bool)
-    mask[(0,) * arr.rank] = False
-    bad = np.argwhere(mask & (table != 0))
+    bad = np.flatnonzero(table.reshape(-1)[1:])  # the zero shift is flat index 0
     if bad.size == 0:
         return None
-    shift = tuple(int(x) for x in bad[0])
+    shift = tuple(int(x) for x in np.unravel_index(bad[0] + 1, table.shape))
     return shift, int(table[shift])
 
 

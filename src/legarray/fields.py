@@ -14,8 +14,8 @@ from functools import lru_cache
 
 FieldElement = tuple[int, ...]
 
-# Antilog tables are cached up to this field order; larger fields fall back
-# to on-demand exponentiation.
+# Antilog tables are built and cached up to this field order; powers()
+# refuses larger fields.
 _POWER_TABLE_LIMIT = 1 << 22
 
 
@@ -139,7 +139,7 @@ class Poly:
 def _mul_mod(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
     """Multiply little-endian coefficient tuples mod (modulus, p).
 
-    modulus must be monic; operands must already have degree < deg(modulus).
+    modulus must be monic; the product is fully reduced to degree < deg(modulus).
     """
     n = len(modulus) - 1
     prod = [0] * (len(a) + len(b) - 1)
@@ -189,13 +189,7 @@ def is_primitive(poly: Poly, n: int | None = None) -> bool:
     p = poly.p
     order = p**n - 1
     modulus = poly.coeffs
-    if n == 1:
-        # x == -c0 in GF(p); test the residue's order directly
-        g = (-modulus[0]) % p
-        if g == 0 or pow(g, order, p) != 1:
-            return False
-        return all(pow(g, order // q, p) != 1 for q in set(factorize(order)))
-    x = tuple(1 if j == 1 else 0 for j in range(n))
+    x = _mul_mod((0, 1), (1,), modulus, p)  # x mod poly; (-c0,) when n = 1
     one = (1,) + (0,) * (n - 1)
     if _pow_mod(x, order, modulus, p) != one:
         return False
@@ -261,14 +255,7 @@ class ExtField:
         """Coefficient tuple of alpha**i for 0 <= i < p**n - 1."""
         if not 0 <= i < self.order:
             raise ValueError(f"exponent {i} out of range [0, {self.order})")
-        if self._table is not None:
-            return self._table[i]
-        if self.order <= _POWER_TABLE_LIMIT:
-            return self.powers()[i]
-        x = tuple(1 if j == 1 else 0 for j in range(self.n))
-        if self.n == 1:
-            x = ((-self.modulus.coeffs[0]) % self.p,)
-        return _pow_mod(x, i, self.modulus.coeffs, self.p)
+        return self.powers()[i]
 
     def powers(self) -> list[FieldElement]:
         """Antilog table: [alpha**0, alpha**1, ..., alpha**(p**n - 2)].

@@ -15,7 +15,7 @@ import numpy as np
 
 from .arrays import TernaryArray
 from .correlation import full_correlation
-from .fields import ExtField, Poly, _check_odd_prime, find_primitive_poly, is_primitive, quadratic_residues
+from .fields import _POWER_TABLE_LIMIT, ExtField, Poly, _check_odd_prime, find_primitive_poly, is_primitive, quadratic_residues
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,10 @@ class LegendreParams:
         _check_odd_prime(self.p)
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
+        # Refuse before any primitive-polynomial search: legendre_array
+        # needs the full antilog table of GF(p^n).
+        if self.n >= 2 and self.p**self.n - 1 > _POWER_TABLE_LIMIT:
+            raise ValueError(f"field order {self.p**self.n} too large to tabulate")
         if self.a not in (-1, 0, 1):
             raise ValueError(f"origin value must be in {{-1,0,1}}, got {self.a}")
         if self.poly is not None and self.poly.p != self.p:
@@ -74,8 +78,6 @@ def legendre_array(params: LegendreParams) -> TernaryArray:
     p, n = params.p, params.n
     if n == 1:
         return legendre_sequence(p, params.a)
-    if p**n - 1 > np.iinfo(np.int64).max:
-        raise ValueError("field order out of exact integer range")
     if not is_primitive(params.poly, n):
         raise ValueError(f"{params.poly} is not primitive of degree {n} over GF({p})")
     field = ExtField(p, n, params.poly.monic_reciprocal())
@@ -97,13 +99,10 @@ class FlatAutocorrelationReport:
 
 def verify_flat_autocorrelation(arr: TernaryArray) -> FlatAutocorrelationReport:
     """Exhaustively check that all off-peak periodic autocorrelations are -1."""
-    table = full_correlation(arr, arr).values
-    peak = int(table[(0,) * arr.rank])
-    mask = np.ones(arr.dims, dtype=bool)
-    mask[(0,) * arr.rank] = False
-    off_peak = table[mask]
+    flat = full_correlation(arr, arr).values.reshape(-1)
+    off_peak = flat[1:]  # the zero shift is flat index 0
     return FlatAutocorrelationReport(
-        peak=peak,
+        peak=int(flat[0]),
         off_peak_min=int(off_peak.min()),
         off_peak_max=int(off_peak.max()),
         passed=bool((off_peak == -1).all()),

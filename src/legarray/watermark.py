@@ -1,10 +1,11 @@
 """Spread-spectrum image watermarking with partially flattened arrays.
 
 A rank-2n member array is cyclically shifted by the payload, folded down
-to two dimensions by repeatedly pairing axis k with axis n+k
-(i_k = q_k * d_{n+k} + r_k), tiled over the carrier, and added at a small
-integer strength. Extraction reverses the pipeline: fold the tiles back
-into one period, remove the DC term, partition into the 2n-dimensional
+to two dimensions by pairing axis k with axis n+k (i_k = q_k * d_{n+k} + r_k)
+until rank 2 remains, tiled over the carrier, and added at a small integer
+strength; the whole fold is one permutation of the axes followed by one
+reshape. Extraction reverses the pipeline: fold the tiles back into one
+period, remove the DC term, partition into the 2n-dimensional
 representation, and search the correlation tables of every family member
 for the global peak, which encodes both the member index and all 2n
 shifts.
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import TernaryArray
+from .correlation import fft_correlation
 from .family import ArrayFamily, FamilyMember
 from .images import GrayImage
 
@@ -67,47 +69,35 @@ class ExtractionResult:
         }
 
 
-def _flatten_steps(dims: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Plan the axis pairings that fold `dims` down to rank 2.
+def _fold_plan(dims: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order and 2-D shape of the fold of `dims` down to rank 2.
 
-    Each step pairs the first floor(r/2) axes with the last floor(r/2); an
-    odd middle axis is carried unpaired (appended last) into the next step.
-    Every step is a pure relabeling, so the composite map is a bijection.
+    Each round pairs the first floor(r/2) axes with the last floor(r/2); an
+    odd middle axis is carried unpaired (appended last) into the next round.
+    A round only merges axes that sit next to each other after a transpose,
+    so the whole fold is one transpose of the original axes followed by one
+    reshape: a pure relabeling, hence a bijection on cells.
     """
-    steps = []
-    cur = list(dims)
-    while len(cur) > 2:
-        r = len(cur)
+    groups = [(ax,) for ax in range(len(dims))]
+    while len(groups) > 2:
+        r = len(groups)
         h = r // 2
-        if r % 2 == 0:
-            perm = tuple(x for k in range(h) for x in (k, h + k))
-            new_dims = tuple(cur[k] * cur[h + k] for k in range(h))
-        else:
-            perm = tuple(x for k in range(h) for x in (k, h + 1 + k)) + (h,)
-            new_dims = tuple(cur[k] * cur[h + 1 + k] for k in range(h)) + (cur[h],)
-        steps.append((perm, new_dims))
-        cur = list(new_dims)
-    return steps
+        groups = [groups[k] + groups[r - h + k] for k in range(h)] + groups[h : r - h]
+    order = tuple(ax for group in groups for ax in group)
+    shape = tuple(math.prod(dims[ax] for ax in group) for group in groups)
+    return order, shape
 
 
 def _flatten_values(values: np.ndarray) -> np.ndarray:
-    out = values
-    for perm, new_dims in _flatten_steps(values.shape):
-        out = out.transpose(perm).reshape(new_dims)
-    return out
+    order, shape = _fold_plan(values.shape)
+    return values.transpose(order).reshape(shape)
 
 
 def _unflatten_values(values: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    steps = _flatten_steps(dims)
-    target = steps[-1][1] if steps else tuple(dims)
-    if values.shape != target:
-        raise ValueError(f"flattened dims {values.shape} inconsistent with target {target}")
-    out = values
-    shapes = [tuple(dims)] + [new_dims for _, new_dims in steps[:-1]]
-    for (perm, _), prev_shape in zip(reversed(steps), reversed(shapes)):
-        interleaved = tuple(prev_shape[ax] for ax in perm)
-        out = out.reshape(interleaved).transpose(np.argsort(perm))
-    return out
+    order, shape = _fold_plan(dims)
+    if values.shape != shape:
+        raise ValueError(f"flattened dims {values.shape} inconsistent with target {shape}")
+    return values.reshape(tuple(dims[ax] for ax in order)).transpose(np.argsort(order))
 
 
 def flatten(arr: TernaryArray) -> TernaryArray:
@@ -129,8 +119,7 @@ def unflatten(arr: TernaryArray, dims) -> TernaryArray:
 
 def tile_dims(member_dims: tuple[int, ...]) -> tuple[int, int]:
     """Pixel size of one flattened watermark period."""
-    steps = _flatten_steps(member_dims)
-    return steps[-1][1] if steps else tuple(member_dims)
+    return _fold_plan(member_dims)[1]
 
 
 def embed(
@@ -164,13 +153,6 @@ def embed(
     return GrayImage(marked.astype(np.uint8))
 
 
-def _float_correlation(data: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    axes = tuple(range(data.ndim))
-    fd = np.fft.rfftn(data, s=data.shape, axes=axes)
-    fr = np.fft.rfftn(ref, s=data.shape, axes=axes)
-    return np.fft.irfftn(np.conj(fd) * fr, s=data.shape, axes=axes)
-
-
 def extract(
     img: GrayImage, family: ArrayFamily, snr_threshold: float = DEFAULT_SNR_THRESHOLD
 ) -> ExtractionResult:
@@ -201,7 +183,7 @@ def extract(
     total_sq = 0.0
     total_count = 0
     for member in family:
-        table = _float_correlation(data, member.arr.values.astype(np.float64))
+        table = fft_correlation(data, member.arr.values.astype(np.float64))
         total_sq += float(np.sum(table**2))
         total_count += table.size
         peak_idx = np.unravel_index(np.argmax(table), table.shape)

@@ -1,6 +1,8 @@
 import json
+import time
 
 import numpy as np
+import pytest
 
 from legarray import arrays, correlation, images
 from legarray.cli import main
@@ -43,6 +45,23 @@ class TestGenLegendre:
         code, _, err = run(capsys, "gen-legendre", "--p", "9")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen-legendre", "--p", "3", "--n", "14"),
+            ("gen-legendre", "--p", "3", "--n", "41", "--poly", "1," + "0," * 40 + "1"),
+            ("verify", "--p", "3", "--n", "14", "--fast"),
+        ],
+        ids=["search", "poly", "verify"],
+    )
+    def test_untabulated_field_exits_1_at_once(self, capsys, argv):
+        # refused before the primitive-polynomial search (3^13 candidates at n = 14)
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "too large to tabulate" in err
 
 
 class TestGenFamily:

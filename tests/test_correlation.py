@@ -178,6 +178,20 @@ class TestBoundReports:
             abs(THETA_S1_S2[s]) == 10 for s in r.peak_shifts
         )
 
+    @pytest.mark.parametrize("method", ["naive", "fast"])
+    def test_reference_peak_shifts_exact(self, family_3_2, method):
+        # every shift attaining max |theta|, in C order; auto excludes the origin
+        auto_abs = np.abs(THETA_S1.astype(np.int64))
+        auto_abs[0, 0, 0, 0] = -1
+        expected_auto = [tuple(s) for s in np.argwhere(auto_abs == auto_abs.max())]
+        cross_abs = np.abs(THETA_S1_S2.astype(np.int64))
+        expected_cross = [tuple(s) for s in np.argwhere(cross_abs == cross_abs.max())]
+        auto = verify_autocorrelation(family_3_2[1], method=method)
+        cross = verify_cross_correlation(family_3_2[1], family_3_2[2], method=method)
+        assert auto.peak_shifts == tuple(expected_auto)
+        assert cross.peak_shifts == tuple(expected_cross)
+        assert (len(expected_auto), len(expected_cross)) == (16, 24)
+
     @pytest.mark.parametrize("p,n", BOUND_GRID)
     def test_autocorrelation_bound_holds(self, p, n):
         q = p**n

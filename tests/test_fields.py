@@ -150,6 +150,13 @@ class TestIsPrimitive:
         # reducible with x factor
         assert not is_primitive(Poly((0, 1, 1), 3))
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_degree_one_matches_x_order(self, p):
+        # x + c0 is primitive iff -c0 mod p has multiplicative order p - 1
+        for c0 in range(p):
+            poly = Poly((c0, 1), p)
+            assert is_primitive(poly) == (x_order_by_repeated_mul(poly, 1) == p - 1), c0
+
     def test_rejects_non_monic_or_wrong_degree(self):
         with pytest.raises(ValueError):
             is_primitive(Poly((1, 1, 2), 5))
@@ -237,6 +244,12 @@ class TestPowers:
             field.power(8)
         with pytest.raises(ValueError):
             field.power(-1)
+
+    def test_power_refuses_untabulated_field(self):
+        # 4194319 > 2**22: power() reads the antilog table, which is not built
+        field = ExtField(4194319, 1)
+        with pytest.raises(ValueError, match="too large to tabulate"):
+            field.power(1)
 
     def test_rejects_non_primitive_modulus(self):
         with pytest.raises(ValueError):

@@ -150,3 +150,10 @@ class TestValidation:
             LegendreParams(p=3, n=2, a=2)
         with pytest.raises(ValueError):
             LegendreParams(p=3, n=2, poly=Poly((2, 4, 1), 5))
+
+    def test_rejects_untabulated_field_before_search(self):
+        # 3^14 - 1 > 2**22: refused at construction, before any polynomial search
+        with pytest.raises(ValueError, match="too large to tabulate"):
+            LegendreParams(p=3, n=14)
+        LegendreParams(p=3, n=13)
+        LegendreParams(p=4194319, n=1)

@@ -56,8 +56,18 @@ class TestFlatten:
                     for r1 in range(5):
                         assert flat[q0 * 4 + r0, q1 * 5 + r1] == cells[q0, q1, r0, r1]
 
+    def test_pairing_formula_rank_six(self):
+        # out[((i0*d3 + i3)*d2 + i2)*d5 + i5, i1*d4 + i4] == S[i0, ..., i5]
+        d = (2, 3, 4, 5, 6, 7)
+        cells = np.arange(np.prod(d), dtype=np.int64).reshape(d)
+        flat = _flatten_values(cells)
+        assert flat.shape == (280, 18)
+        for i0, i1, i2, i3, i4, i5 in np.ndindex(d):
+            row = ((i0 * d[3] + i3) * d[2] + i2) * d[5] + i5
+            assert flat[row, i1 * d[4] + i4] == cells[i0, i1, i2, i3, i4, i5]
+
     def test_is_bijection_on_cells(self):
-        for dims in [(3, 3, 3, 3), (2, 3, 4, 5), (2,) * 6, (3,) * 6]:
+        for dims in [(3, 3, 3, 3), (2, 3, 4, 5), (2,) * 6, (3,) * 6, (3,) * 8, (2, 3, 4, 5, 6, 7)]:
             cells = np.arange(np.prod(dims), dtype=np.int64).reshape(dims)
             flat = _flatten_values(cells)
             assert flat.ndim == 2
@@ -66,6 +76,8 @@ class TestFlatten:
     def test_tile_dims(self, family_3_2):
         assert tile_dims(family_3_2[1].arr.dims) == (9, 9)
         assert tile_dims((3,) * 6) == (81, 9)  # odd middle axis carried, paired last
+        assert tile_dims((3,) * 8) == (81, 81)
+        assert tile_dims((2, 3, 4, 5, 6, 7)) == (280, 18)
 
 
 class TestUnflatten:
