@@ -135,11 +135,9 @@ def serialize(arr: _NdArray) -> str:
     Deterministic output; deserialize(serialize(a)) == a bit-exactly.
     """
     lines = ["NDA1", str(arr.rank), " ".join(str(d) for d in arr.dims), arr.kind]
-    flat = arr.values.reshape(-1)
     # one line per trailing-axis run keeps files diffable
-    width = arr.dims[-1]
-    for start in range(0, flat.size, width):
-        lines.append(" ".join(str(int(v)) for v in flat[start : start + width]))
+    rows = arr.values.reshape(-1, arr.dims[-1]).tolist()
+    lines.extend(" ".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -44,9 +44,11 @@ def _add_field_args(sub, with_a=False):
     )
 
 
-def _params_from(args, a=0) -> legendre.LegendreParams:
+def _legendre_from(args, a=0) -> tuple[legendre.LegendreParams, arrays.TernaryArray]:
+    """Resolved field parameters and the rank-n Legendre array built from them."""
     poly = Poly.parse(args.poly, args.p) if args.poly else None
-    return legendre.LegendreParams(p=args.p, n=args.n, a=a, poly=poly).resolve()
+    params = legendre.LegendreParams(p=args.p, n=args.n, a=a, poly=poly).resolve()
+    return params, legendre.legendre_array(params)
 
 
 def _write_text(text: str, out: str | None):
@@ -65,20 +67,19 @@ def _print_json(obj, out: str | None = None):
 
 
 def _cmd_gen_legendre(args) -> int:
-    params = _params_from(args, a=args.a)
-    arr = legendre.legendre_array(params)
+    _, arr = _legendre_from(args, a=args.a)
     _write_text(arrays.serialize(arr), args.out)
     return EXIT_OK
 
 
 def _cmd_gen_family(args) -> int:
-    params = _params_from(args)
-    base = legendre.legendre_array(params)
+    params, base = _legendre_from(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     indices = range(params.p) if args.m is None else [args.m]
     for m in indices:
         member = build_member(base, m, params)
+        # made only once a member is built, so a refused family leaves no directory
+        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / f"S_{m}.nda").write_text(arrays.serialize(member.arr), encoding="utf-8")
     return EXIT_OK
 
@@ -92,8 +93,7 @@ def _cmd_corr(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    params = _params_from(args)
-    base = legendre.legendre_array(params)
+    params, base = _legendre_from(args)
     family = build_family(base, params)
     method = "fast" if args.fast else "naive"
     auto = [correlation.verify_autocorrelation(mem, method=method) for mem in family]
@@ -156,8 +156,7 @@ def _parse_shifts(text: str) -> tuple[int, ...]:
 
 
 def _cmd_embed(args) -> int:
-    params = _params_from(args)
-    base = legendre.legendre_array(params)
+    params, base = _legendre_from(args)
     member = build_member(base, args.m, params)
     payload = watermark.Payload(m=args.m, shifts=_parse_shifts(args.shifts))
     img = images.read_pgm(Path(args.image).read_bytes())
@@ -167,8 +166,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    params = _params_from(args)
-    base = legendre.legendre_array(params)
+    params, base = _legendre_from(args)
     family = build_family(base, params)
     img = images.read_pgm(Path(args.image).read_bytes())
     result = watermark.extract(img, family, snr_threshold=args.snr_threshold)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import IntArray, TernaryArray
+from .arrays import MAX_RANK, IntArray, TernaryArray
 from .correlation import full_correlation
 from .legendre import LegendreParams
 
@@ -64,6 +64,9 @@ def _check_base(arr: TernaryArray, params: LegendreParams):
         raise ValueError(
             f"base array dims {arr.dims} do not match (p,)*n = {(params.p,) * params.n}"
         )
+    # refuse before np.indices allocates 2n index grids of p^(2n) cells
+    if 2 * params.n > MAX_RANK:
+        raise ValueError(f"rank {2 * params.n} exceeds limit {MAX_RANK}")
 
 
 def build_member(arr: TernaryArray, m: int, params: LegendreParams) -> FamilyMember:

@@ -4,6 +4,9 @@ Everything here is exact integer arithmetic sized for desk-scale parameters
 (p^n well below 2**63): deterministic trial division for primality and
 factoring, dense little-endian polynomial arithmetic, a multiplicative-order
 test for primitivity, and enumeration of the powers of the generator.
+The primitive-polynomial search skips every constant term c_0 whose norm
+(-1)^n * c_0 is not a primitive root mod p; the order test stays the only
+authority on the candidates that remain.
 """
 
 from __future__ import annotations
@@ -49,6 +52,17 @@ def factorize(u: int) -> list[int]:
     if u > 1:
         out.append(u)
     return out
+
+
+@lru_cache(maxsize=None)
+def _prime_divisors(u: int) -> tuple[int, ...]:
+    """Distinct prime factors of u, ascending; cached for the search's reuse."""
+    return tuple(sorted(set(factorize(u))))
+
+
+def _is_primitive_root(g: int, p: int) -> bool:
+    """True iff g generates the multiplicative group mod the prime p."""
+    return g % p != 0 and all(pow(g, (p - 1) // q, p) != 1 for q in _prime_divisors(p - 1))
 
 
 def _check_odd_prime(p: int) -> int:
@@ -195,7 +209,7 @@ def is_primitive(poly: Poly, n: int | None = None) -> bool:
         return False
     return all(
         _pow_mod(x, order // q, modulus, p) != one
-        for q in set(factorize(order))
+        for q in _prime_divisors(order)
     )
 
 
@@ -204,15 +218,20 @@ def find_primitive_poly(p: int, n: int) -> Poly:
 
     Candidates x**n + c_{n-1} x**(n-1) + ... + c_0 are scanned in
     lexicographic order of (c_0, ..., c_{n-1}), so the result is
-    deterministic across runs.
+    deterministic across runs. A c_0 whose norm (-1)**n * c_0 is not a
+    primitive root mod p cannot start a primitive polynomial, so its whole
+    block of p**(n-1) candidates is skipped untested.
     """
     _check_odd_prime(p)
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    for tail in itertools.product(range(p), repeat=n):
-        cand = Poly(tail + (1,), p)
-        if is_primitive(cand, n):
-            return cand
+    for c0 in range(p):
+        if not _is_primitive_root((-1) ** n * c0, p):
+            continue
+        for rest in itertools.product(range(p), repeat=n - 1):
+            cand = Poly((c0, *rest, 1), p)
+            if is_primitive(cand, n):
+                return cand
     raise RuntimeError(f"no primitive polynomial of degree {n} over GF({p})")
 
 

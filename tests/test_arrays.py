@@ -147,6 +147,26 @@ class TestNdaFormat:
         with pytest.raises(ValueError):
             deserialize(text)
 
+    def test_matches_per_entry_formatting(self):
+        # reference: each entry formatted on its own, one line per trailing-axis run
+        def per_entry(arr):
+            lines = ["NDA1", str(arr.rank), " ".join(str(d) for d in arr.dims), arr.kind]
+            flat = arr.values.reshape(-1)
+            width = arr.dims[-1]
+            for start in range(0, flat.size, width):
+                lines.append(" ".join(str(int(v)) for v in flat[start : start + width]))
+            return "\n".join(lines) + "\n"
+
+        rng = np.random.default_rng(31)
+        extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 1])
+        for rank in range(1, 9):
+            for trailing in (1, 3):
+                dims = tuple(int(d) for d in rng.integers(1, 4, size=rank - 1)) + (trailing,)
+                ints = rng.integers(-(2**62), 2**62, size=dims, dtype=np.int64)
+                ints.reshape(-1)[: extremes.size] = extremes[: ints.size]
+                for arr in (random_ternary(rng, dims), IntArray(ints)):
+                    assert serialize(arr) == per_entry(arr), (rank, dims, arr.kind)
+
     def test_serialization_is_deterministic(self):
         rng = np.random.default_rng(29)
         arr = random_ternary(rng, (3, 3, 3))

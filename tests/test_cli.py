@@ -75,6 +75,24 @@ class TestGenFamily:
         names = sorted(f.name for f in out_dir.iterdir())
         assert names == ["S_0.nda", "S_1.nda", "S_2.nda"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen-family", "--p", "3", "--n", "6", "--m", "1", "--out"),
+            ("verify", "--p", "3", "--n", "5", "--fast", "--out"),
+        ],
+        ids=["gen-family", "verify"],
+    )
+    def test_oversized_family_exits_1_at_once(self, capsys, tmp_path, argv):
+        # refused before the 2n index grids are built or the output is created
+        target = tmp_path / "out"
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv, str(target))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "exceeds limit 8" in err
+        assert not target.exists()
+
     def test_single_member_matches_library(self, capsys, tmp_path, family_3_2):
         out_dir = tmp_path / "fam"
         run(capsys, "gen-family", "--p", "3", "--n", "2", "--poly", "2,2,1",

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from legarray import fields
 from legarray.fields import (
     ExtField,
     Poly,
@@ -199,6 +200,51 @@ class TestFindPrimitivePoly:
         g = (-2) % 5
         orders = {pow(g, k, 5) for k in range(1, 5)}
         assert orders == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize(
+        "p,n,coeffs",
+        [
+            (7, 4, "3,0,1,1,1"),
+            (3, 7, "1,0,0,0,0,1,2,1"),
+            (23, 3, "2,0,2,1"),
+            (5, 5, "2,0,0,0,3,1"),
+            (17, 4, "3,0,0,6,1"),
+            (43, 3, "9,0,1,1"),
+            (7, 5, "2,0,0,0,2,1"),
+            (13, 4, "2,0,2,6,1"),
+        ],
+    )
+    def test_golden_polynomials(self, p, n, coeffs):
+        # first primitive polynomial of the unfiltered lexicographic scan
+        assert find_primitive_poly(p, n).format() == coeffs
+
+    def test_matches_unfiltered_scan(self):
+        # the norm test skips only candidates that cannot be primitive
+        checked = 0
+        for p in (u for u in range(3, 2001) if is_prime(u)):
+            n = 1
+            while p**n <= 2000:
+                candidates = (
+                    Poly(tail + (1,), p) for tail in itertools.product(range(p), repeat=n)
+                )
+                expected = next(c for c in candidates if is_primitive(c, n))
+                assert find_primitive_poly(p, n) == expected, (p, n)
+                checked += 1
+                n += 1
+        assert checked > 300
+
+    def test_norm_test_skips_constant_terms(self, monkeypatch):
+        # at (23,3) c0 = 0 and c0 = 1 (norm -1, of order 2) are skipped whole:
+        # the unfiltered scan tests 1,061 candidates
+        tested = []
+
+        def counting(poly, n=None):
+            tested.append(poly)
+            return is_primitive(poly, n)
+
+        monkeypatch.setattr(fields, "is_primitive", counting)
+        assert fields.find_primitive_poly(23, 3).format() == "2,0,2,1"
+        assert 0 < len(tested) < 10
 
     @pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
     def test_output_is_primitive(self, p, n):
