@@ -13,6 +13,7 @@ the oracle bit-exactly, guarded by a residual check.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -73,12 +74,19 @@ def full_correlation(a, b) -> IntArray:
     return IntArray(table)
 
 
-def fft_correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Unrounded float table theta_{x,y}(s) of two equal-shape float arrays."""
+def fft_correlation(x: np.ndarray, ys: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Unrounded float tables theta_{x,y}(s) of x against each y in `ys`.
+
+    All arrays are float and of x's shape. x is transformed once; each y
+    costs one forward and one inverse transform, and its table is yielded
+    before the next y is read. Each table is bit for bit the one computed
+    with y alone in `ys`.
+    """
     axes = tuple(range(x.ndim))
-    fx = np.fft.rfftn(x, s=x.shape, axes=axes)
-    fy = np.fft.rfftn(y, s=x.shape, axes=axes)
-    return np.fft.irfftn(np.conj(fx) * fy, s=x.shape, axes=axes)
+    fx_conj = np.conj(np.fft.rfftn(x, s=x.shape, axes=axes))
+    for y in ys:
+        fy = np.fft.rfftn(y, s=x.shape, axes=axes)
+        yield np.fft.irfftn(fx_conj * fy, s=x.shape, axes=axes)
 
 
 def full_correlation_fast(a, b) -> IntArray:
@@ -91,7 +99,7 @@ def full_correlation_fast(a, b) -> IntArray:
     _check_same_dims(a, b)
     if a.size > FAST_SIZE_LIMIT:
         raise ValueError(f"array size {a.size} exceeds fast-path limit {FAST_SIZE_LIMIT}")
-    table = fft_correlation(a.values.astype(np.float64), b.values.astype(np.float64))
+    (table,) = fft_correlation(a.values.astype(np.float64), [b.values.astype(np.float64)])
     rounded = np.rint(table)
     residual = float(np.abs(table - rounded).max())
     if residual >= RESIDUAL_TOLERANCE:

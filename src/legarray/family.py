@@ -64,7 +64,7 @@ def _check_base(arr: TernaryArray, params: LegendreParams):
         raise ValueError(
             f"base array dims {arr.dims} do not match (p,)*n = {(params.p,) * params.n}"
         )
-    # refuse before np.indices allocates 2n index grids of p^(2n) cells
+    # refuse before any p^(2n)-cell member is built
     if 2 * params.n > MAX_RANK:
         raise ValueError(f"rank {2 * params.n} exceeds limit {MAX_RANK}")
 
@@ -77,8 +77,10 @@ def build_member(arr: TernaryArray, m: int, params: LegendreParams) -> FamilyMem
     if not 0 <= m < p:
         raise ValueError(f"member index must be in [0, {p}), got {m}")
     a = arr.values
-    idx = np.indices((p,) * (2 * n))
-    first = a[tuple(idx[k] for k in range(n))]
+    # idx[j] is arange(p) along axis j of 2n; the indices broadcast, so no
+    # p^(2n)-cell index grid is built.
+    idx = np.ogrid[(slice(0, p),) * (2 * n)]
+    first = a.reshape(a.shape + (1,) * n)
     second = a[tuple((idx[n + k] - m * idx[k]) % p for k in range(n))]
     return FamilyMember(m=m, arr=TernaryArray(first * second), params=params)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import TernaryArray
+from .arrays import MAX_RANK, TernaryArray
 from .correlation import full_correlation
 from .fields import _POWER_TABLE_LIMIT, ExtField, Poly, _check_odd_prime, find_primitive_poly, is_primitive, quadratic_residues
 
@@ -74,6 +74,9 @@ def legendre_array(params: LegendreParams) -> TernaryArray:
     polynomial yourself yields the same cells relabeled. The sign of a cell
     is +1 for even exponents, -1 for odd; the origin holds params.a.
     """
+    # refuse before the primitive-polynomial search and the antilog table
+    if params.n > MAX_RANK:
+        raise ValueError(f"rank {params.n} exceeds limit {MAX_RANK}")
     params = params.resolve()
     p, n = params.p, params.n
     if n == 1:

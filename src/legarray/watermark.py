@@ -122,6 +122,20 @@ def tile_dims(member_dims: tuple[int, ...]) -> tuple[int, int]:
     return _fold_plan(member_dims)[1]
 
 
+def _fold_tiles(pixels: np.ndarray, th: int, tw: int) -> np.ndarray:
+    """Sum of the whole (th, tw) tiles of `pixels` as one float64 period.
+
+    Partial tiles at the right and bottom edges are dropped. The sums are
+    taken in int64, tile rows first, and cast once: every partial sum is an
+    integer below 2^53, so the period equals the float64 sum of the tiles
+    exactly.
+    """
+    rows, cols = pixels.shape[0] // th, pixels.shape[1] // tw
+    crop = pixels[: rows * th, : cols * tw]
+    by_row = crop.reshape(rows, th, cols * tw).sum(axis=0, dtype=np.int64)
+    return by_row.reshape(th, cols, tw).sum(axis=1).astype(np.float64)
+
+
 def embed(
     img: GrayImage, member: FamilyMember, payload: Payload, cfg: EmbedConfig = EmbedConfig()
 ) -> GrayImage:
@@ -159,21 +173,21 @@ def extract(
     """Recover (member, shifts) from a marked image by correlation peak search.
 
     The image is cropped to whole tiles, the tiles are summed into one
-    period (coherent gain), the tile mean is removed (members are zero-sum,
-    so this only suppresses the carrier's DC), and the period is partitioned
-    back into rank 2n. The returned snr is the peak against the RMS of all
-    other correlation entries across every member; results with snr below
-    `snr_threshold` keep their payload but are flagged not confident.
+    period (coherent gain, exact integer sums), the tile mean is removed
+    (members are zero-sum, so this only suppresses the carrier's DC), and
+    the period is partitioned back into rank 2n. The period is transformed
+    once and correlated with each member in turn, 2p + 1 transforms in all.
+    The returned snr is the peak against the RMS of all other correlation
+    entries across every member; results with snr below `snr_threshold`
+    keep their payload but are flagged not confident.
     """
     member_dims = family[0].arr.dims
     th, tw = tile_dims(member_dims)
-    rows, cols = img.height // th, img.width // tw
-    if rows < 1 or cols < 1:
+    if img.height < th or img.width < tw:
         raise ValueError(
             f"image {img.width}x{img.height} smaller than one {tw}x{th} watermark tile"
         )
-    crop = img.pixels[: rows * th, : cols * tw].astype(np.float64)
-    folded = crop.reshape(rows, th, cols, tw).sum(axis=(0, 2))
+    folded = _fold_tiles(img.pixels, th, tw)
     folded -= folded.mean()
     data = _unflatten_values(folded, member_dims)
 
@@ -182,8 +196,8 @@ def extract(
     best_shift = (0,) * len(member_dims)
     total_sq = 0.0
     total_count = 0
-    for member in family:
-        table = fft_correlation(data, member.arr.values.astype(np.float64))
+    tables = fft_correlation(data, (member.arr.values.astype(np.float64) for member in family))
+    for member, table in zip(family, tables):
         total_sq += float(np.sum(table**2))
         total_count += table.size
         peak_idx = np.unravel_index(np.argmax(table), table.shape)

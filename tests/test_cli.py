@@ -63,6 +63,17 @@ class TestGenLegendre:
         assert code == 1
         assert "too large to tabulate" in err
 
+    def test_over_rank_array_exits_1_at_once(self, capsys, tmp_path):
+        # 3^12 is tabulatable, but rank 12 is refused before the search and
+        # the antilog table are built
+        target = tmp_path / "a.nda"
+        start = time.perf_counter()
+        code, _, err = run(capsys, "gen-legendre", "--p", "3", "--n", "12", "--out", str(target))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "rank 12 exceeds limit 8" in err
+        assert not target.exists()
+
 
 class TestGenFamily:
     def test_writes_all_members(self, capsys, tmp_path):
@@ -84,7 +95,7 @@ class TestGenFamily:
         ids=["gen-family", "verify"],
     )
     def test_oversized_family_exits_1_at_once(self, capsys, tmp_path, argv):
-        # refused before the 2n index grids are built or the output is created
+        # refused before a member is built or the output is created
         target = tmp_path / "out"
         start = time.perf_counter()
         code, _, err = run(capsys, *argv, str(target))

@@ -53,16 +53,22 @@ class TestConstruction:
                 sheared = tuple((idx[n + k] - m * idx[k]) % p for k in range(n))
                 assert member.arr.get(idx) == a[head] * a[sheared], (m, idx)
 
-    @pytest.mark.parametrize("p,n", [(5, 2), (7, 2), (3, 3), (3, 4)])
+    @pytest.mark.parametrize(
+        "p,n",
+        [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 2), (11, 2), (13, 2)],
+    )
     def test_defining_product_identity_exhaustive(self, p, n):
-        # up to 6561 cells per member; (3,4) members sit at the rank limit 8
+        # reference: the formula on full np.indices grids; up to 28561 cells
+        # per member, and (3,4) members sit at the rank limit 8
         params = LegendreParams(p=p, n=n).resolve()
         a = legendre_array(params).values
         idx = np.indices((p,) * (2 * n))
         first = a[tuple(idx[k] for k in range(n))]
         for member in build_family(legendre_array(params), params):
             sheared = tuple((idx[n + k] - member.m * idx[k]) % p for k in range(n))
-            assert np.array_equal(member.arr.values, first * a[sheared])
+            expected = first * a[sheared]
+            assert member.arr.values.dtype == expected.dtype
+            assert np.array_equal(member.arr.values, expected)
 
     @pytest.mark.parametrize("p,n", MEMBER_GRID)
     def test_entry_counts(self, p, n):

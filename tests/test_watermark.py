@@ -16,6 +16,7 @@ from legarray.watermark import (
     tile_dims,
     unflatten,
     _flatten_values,
+    _fold_tiles,
 )
 
 from reference_data import FLATTENED_S1
@@ -117,6 +118,39 @@ class TestUnflatten:
             unflatten(TernaryArray(np.zeros((3, 27), dtype=np.int8)), (3, 3, 3, 3))
 
 
+class TestFoldTiles:
+    @staticmethod
+    def float_fold(pixels, th, tw):
+        # reference: the float64 copy of the whole-tile crop, summed per tile
+        rows, cols = pixels.shape[0] // th, pixels.shape[1] // tw
+        crop = pixels[: rows * th, : cols * tw]
+        return crop.astype(np.float64).reshape(rows, th, cols, tw).sum(axis=(0, 2))
+
+    @pytest.mark.parametrize(
+        "shape,tile",
+        [
+            ((31, 29), (9, 9)),
+            ((100, 77), (25, 25)),
+            ((170, 20), (81, 9)),
+            ((20_000, 3), (3, 3)),
+            ((3, 20_000), (3, 3)),
+            ((500, 500), (49, 49)),
+        ],
+    )
+    @pytest.mark.parametrize("carrier", ["random", "zero", "full"])
+    def test_equals_float_fold(self, shape, tile, carrier):
+        rng = np.random.default_rng(sum(shape) + sum(tile))
+        pixels = {
+            "random": rng.integers(0, 256, size=shape, dtype=np.uint8),
+            "zero": np.zeros(shape, dtype=np.uint8),
+            "full": np.full(shape, 255, dtype=np.uint8),
+        }[carrier]
+        folded = _fold_tiles(pixels, *tile)
+        expected = self.float_fold(pixels, *tile)
+        assert folded.dtype == np.float64 and folded.shape == tile
+        assert np.array_equal(folded, expected)
+
+
 class TestEmbed:
     def test_strength_zero_is_identity(self, family_3_2):
         img = flat_gray(27)
@@ -216,3 +250,40 @@ class TestExtract:
         d = extract(marked, family_3_2).to_json_dict()
         assert set(d) == {"m", "shifts", "score", "snr", "confident"}
         assert d["m"] == 1 and d["shifts"] == [1, 0, 1, 0]
+
+
+# extract(...).to_json_dict() recorded before the decode path shared one
+# transform of the folded period across members and folded in integers.
+# Floats compare with ==, so any reordering of the FFT arithmetic shows.
+# The confident result on the unmarked (5,2) carrier is the known
+# confident-wrong defect, and off-grid crops recover the member but not
+# the shifts; both are pinned as they are.
+PINNED_EXTRACTS = {
+    (3, 2, "marked"): {"m": 1, "shifts": [1, 1, 0, 2], "score": 6875.999999999997, "snr": 9.18041262099127, "confident": True},
+    (3, 2, "unmarked"): {"m": 2, "shifts": [1, 0, 0, 0], "score": 772.9999999999998, "snr": 3.1859564727197176, "confident": False},
+    (3, 2, "cropped"): {"m": 1, "shifts": [1, 1, 1, 0], "score": 4327.999999999998, "snr": 5.505062376133786, "confident": True},
+    (5, 2, "marked"): {"m": 2, "shifts": [2, 1, 2, 3], "score": 62279.000000000015, "snr": 25.204921453314306, "confident": True},
+    (5, 2, "unmarked"): {"m": 4, "shifts": [2, 0, 3, 4], "score": 3703.0, "snr": 4.089319310535229, "confident": True},
+    (5, 2, "cropped"): {"m": 2, "shifts": [2, 1, 3, 4], "score": 39270.00000000001, "snr": 15.250772172833608, "confident": True},
+    (7, 2, "marked"): {"m": 6, "shifts": [1, 6, 3, 5], "score": 248973.9999999999, "snr": 49.09417565272259, "confident": True},
+    (7, 2, "unmarked"): {"m": 6, "shifts": [2, 5, 5, 5], "score": 6476.999999999997, "snr": 3.7602082653532145, "confident": False},
+    (7, 2, "cropped"): {"m": 6, "shifts": [1, 6, 4, 6], "score": 183764.0, "snr": 35.3206846729576, "confident": True},
+    (3, 3, "marked"): {"m": 1, "shifts": [1, 0, 2, 2, 0, 2], "score": 74746.99999999996, "snr": 29.48253691345207, "confident": True},
+    (3, 3, "unmarked"): {"m": 1, "shifts": [2, 1, 1, 0, 0, 1], "score": 3452.999999999998, "snr": 3.626729087632864, "confident": False},
+    (3, 3, "cropped"): {"m": 1, "shifts": [1, 0, 2, 2, 1, 0], "score": 36372.99999999998, "snr": 12.792799803448526, "confident": True},
+}
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 3)])
+def test_extract_output_is_pinned(p, n):
+    params = LegendreParams(p, n).resolve()
+    family = build_family(legendre_array(params), params)
+    rng = np.random.default_rng(1000 * p + n)
+    th, tw = tile_dims(family[0].arr.dims)
+    carrier = rng.integers(118, 139, size=(6 * th + 5, 6 * tw + 7), dtype=np.uint8)
+    payload = Payload(int(rng.integers(p)), tuple(rng.integers(p, size=2 * n)))
+    marked = embed(GrayImage(carrier), family[payload.m], payload).pixels
+    carriers = {"marked": marked, "unmarked": carrier, "cropped": marked[1:, 1:]}
+    for kind, pixels in carriers.items():
+        got = extract(GrayImage(pixels), family).to_json_dict()
+        assert got == PINNED_EXTRACTS[(p, n, kind)], kind
