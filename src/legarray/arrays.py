@@ -132,17 +132,33 @@ class IntArray(_NdArray):
 def serialize(arr: _NdArray) -> str:
     """NDA text format: magic, rank, extents, entry kind, row-major entries.
 
-    Deterministic output; deserialize(serialize(a)) == a bit-exactly.
+    One line per trailing-axis run (which keeps files diffable), entries
+    separated by single spaces, each written as str() of the Python int.
+    Each distinct value is formatted once into a NUL-padded cell and the
+    cells are gathered per entry, so a ternary array costs at most three
+    str() calls. Deterministic output; deserialize(serialize(a)) == a
+    bit-exactly.
     """
-    lines = ["NDA1", str(arr.rank), " ".join(str(d) for d in arr.dims), arr.kind]
-    # one line per trailing-axis run keeps files diffable
-    rows = arr.values.reshape(-1, arr.dims[-1]).tolist()
-    lines.extend(" ".join(map(str, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    header = f"NDA1\n{arr.rank}\n{' '.join(str(d) for d in arr.dims)}\n{arr.kind}\n"
+    rows = arr.values.reshape(-1, arr.dims[-1])
+    distinct, codes = np.unique(rows, return_inverse=True)
+    tokens = [str(v) for v in distinct.tolist()]
+    # distinct is sorted, so the longest token is its most negative or its
+    # largest value
+    width = max(len(tokens[0]), len(tokens[-1]))
+    cells = np.full((distinct.size, width + 1), ord(" "), dtype=np.uint8)
+    cells[:, :width] = np.array(tokens, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    text = cells[codes.reshape(rows.shape)]
+    text[:, -1, -1] = ord("\n")
+    return header + text.tobytes().replace(b"\0", b"").decode()
 
 
 def deserialize(text: str) -> _NdArray:
-    """Parse the NDA text format produced by serialize."""
+    """Parse the NDA text format produced by serialize.
+
+    Entries are parsed with int(), each distinct token once, and must fit
+    in int64.
+    """
     tokens = text.split("\n")
     if not tokens or tokens[0].strip() != "NDA1":
         raise ValueError("not an NDA1 file (bad magic)")
@@ -173,9 +189,14 @@ def deserialize(text: str) -> _NdArray:
     if len(entries) != expected:
         raise ValueError(f"expected {expected} entries, got {len(entries)}")
     try:
-        flat = np.array([int(t) for t in entries], dtype=np.int64)
+        parsed = {t: int(t) for t in set(entries)}
     except ValueError:
         raise ValueError("non-integer entry in NDA body") from None
+    try:
+        flat = np.fromiter(map(parsed.__getitem__, entries), dtype=np.int64, count=expected)
+    except OverflowError:
+        bad = next(t for t in entries if not -(2**63) <= parsed[t] < 2**63)
+        raise ValueError(f"entry {bad} is outside the int64 range") from None
     cls = TernaryArray if kind == "ternary" else IntArray
     return cls.from_flat(dims, flat)
 

@@ -42,6 +42,20 @@ def _check_same_dims(a, b):
         raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
 
 
+def _magnitudes(values: np.ndarray) -> np.ndarray:
+    # |INT64_MIN| wraps to INT64_MIN, whose bits read as uint64 are 2**63
+    return np.abs(values, dtype=np.int64).view(np.uint64)
+
+
+def _theta_bound(a, b) -> int:
+    """sum|a| * max|b| as a Python int: no |theta_{a,b}(s)|, nor any partial
+    sum of its products, exceeds it."""
+    mag = _magnitudes(a.values)
+    # summed as 32-bit halves so that neither uint64 sum can wrap
+    sum_abs = (int((mag >> 32).sum()) << 32) + int((mag & 0xFFFFFFFF).sum())
+    return sum_abs * int(_magnitudes(b.values).max())
+
+
 def cross_correlation_at(a, b, shift) -> int:
     """theta_{a,b}(shift), exact. Shift components are reduced mod dims."""
     _check_same_dims(a, b)
@@ -58,8 +72,12 @@ def full_correlation(a, b) -> IntArray:
     Implemented as a direct sum of integer products: B is tiled once per
     axis so that every cyclic shift is a contiguous window, and einsum
     contracts the window view against A in int64. No transforms involved.
+    Refuses inputs whose table could leave the int64 range.
     """
     _check_same_dims(a, b)
+    bound = _theta_bound(a, b)
+    if bound > np.iinfo(np.int64).max:
+        raise ValueError(f"correlation values may reach {bound}, beyond the int64 range")
     rank = a.rank
     tiled = np.tile(b.values, (2,) * rank)
     windows = sliding_window_view(tiled, a.dims)[tuple(slice(0, d) for d in a.dims)]
@@ -94,11 +112,18 @@ def full_correlation_fast(a, b) -> IntArray:
 
     Raises PrecisionError if any entry's rounding residual reaches
     RESIDUAL_TOLERANCE, which means the array is too large for the float
-    path and the oracle should be used instead.
+    path and the oracle should be used instead. Also raises PrecisionError
+    when the table's values may reach 2**53: float64 holds such integers
+    inexactly, so the residual would not show the rounding.
     """
     _check_same_dims(a, b)
     if a.size > FAST_SIZE_LIMIT:
         raise ValueError(f"array size {a.size} exceeds fast-path limit {FAST_SIZE_LIMIT}")
+    bound = _theta_bound(a, b)
+    if bound >= 2**53:
+        raise PrecisionError(
+            f"correlation values may reach {bound} >= 2**53; too large for the float path"
+        )
     (table,) = fft_correlation(a.values.astype(np.float64), [b.values.astype(np.float64)])
     rounded = np.rint(table)
     residual = float(np.abs(table - rounded).max())

@@ -3,7 +3,8 @@
 Everything here is exact integer arithmetic sized for desk-scale parameters
 (p^n well below 2**63): deterministic trial division for primality and
 factoring, dense little-endian polynomial arithmetic, a multiplicative-order
-test for primitivity, and enumeration of the powers of the generator.
+test for primitivity, and enumeration of the powers of the generator by
+doubling.
 The primitive-polynomial search skips every constant term c_0 whose norm
 (-1)^n * c_0 is not a primitive root mod p; the order test stays the only
 authority on the candidates that remain.
@@ -15,10 +16,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 FieldElement = tuple[int, ...]
 
-# Antilog tables are built and cached up to this field order; powers()
-# refuses larger fields.
+# Antilog tables are built and cached up to this field order;
+# power_table() refuses larger fields.
 _POWER_TABLE_LIMIT = 1 << 22
 
 
@@ -257,7 +260,7 @@ class ExtField:
         self.n = n
         self.modulus = modulus
         self.order = p**n - 1
-        self._table: list[FieldElement] | None = None
+        self._table: np.ndarray | None = None
 
     def _coerce(self, a) -> tuple:
         coeffs = tuple(a.coeffs) if isinstance(a, Poly) else tuple(int(c) % self.p for c in a)
@@ -274,26 +277,41 @@ class ExtField:
         """Coefficient tuple of alpha**i for 0 <= i < p**n - 1."""
         if not 0 <= i < self.order:
             raise ValueError(f"exponent {i} out of range [0, {self.order})")
-        return self.powers()[i]
+        return tuple(self.power_table()[i].tolist())
 
     def powers(self) -> list[FieldElement]:
         """Antilog table: [alpha**0, alpha**1, ..., alpha**(p**n - 2)].
 
-        Built by repeated multiplication by x with monic reduction, which
-        visits every nonzero field element exactly once.
+        The rows of power_table() as coefficient tuples; every nonzero
+        field element appears exactly once.
+        """
+        return [tuple(row) for row in self.power_table().tolist()]
+
+    def power_table(self) -> np.ndarray:
+        """Read-only (p**n - 1, n) int64 array whose row i is alpha**i.
+
+        A row vector times the matrix X of multiplication by alpha = x is
+        the next power, so rows [L, 2L) are rows [0, L) times X**L: the
+        table is enumerated by doubling, in about log2(p**n) matrix
+        products mod p. Entries stay below p, so every sum of products is
+        below n * p**2 < 2**63.
         """
         if self._table is None:
             if self.order > _POWER_TABLE_LIMIT:
                 raise ValueError(f"field order {self.order + 1} too large to tabulate")
-            p, n, mod = self.p, self.n, self.modulus.coeffs
-            cur = [1] + [0] * (n - 1)
-            table = [tuple(cur)]
-            for _ in range(self.order - 1):
-                carry = cur[-1]
-                for j in range(n - 1, 0, -1):
-                    cur[j] = (cur[j - 1] - carry * mod[j]) % p
-                cur[0] = (-carry * mod[0]) % p
-                table.append(tuple(cur))
+            p, n = self.p, self.n
+            step = np.zeros((n, n), dtype=np.int64)
+            step[np.arange(n - 1), np.arange(1, n)] = 1  # x * x**i = x**(i+1)
+            step[n - 1] = [-c % p for c in self.modulus.coeffs[:n]]  # x**n mod the monic modulus
+            table = np.zeros((self.order, n), dtype=np.int64)
+            table[0, 0] = 1
+            filled = 1
+            while filled < self.order:
+                count = min(filled, self.order - filled)
+                table[filled : filled + count] = table[:count] @ step % p
+                step = step @ step % p
+                filled += count
+            table.flags.writeable = False
             self._table = table
         return self._table
 

@@ -84,7 +84,7 @@ def legendre_array(params: LegendreParams) -> TernaryArray:
     if not is_primitive(params.poly, n):
         raise ValueError(f"{params.poly} is not primitive of degree {n} over GF({p})")
     field = ExtField(p, n, params.poly.monic_reciprocal())
-    coeffs = np.array(field.powers(), dtype=np.int64)  # (p^n - 1, n), little-endian
+    coeffs = field.power_table()  # (p^n - 1, n), little-endian
     signs = np.where(np.arange(field.order) % 2 == 0, 1, -1).astype(np.int8)
     arr = np.zeros((p,) * n, dtype=np.int8)
     arr[(0,) * n] = params.a

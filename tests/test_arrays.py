@@ -4,12 +4,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legarray.arrays import IntArray, TernaryArray, deserialize, render, serialize
+from legarray.correlation import full_correlation_fast
+from legarray.family import build_family
+from legarray.legendre import LegendreParams, legendre_array
 
 from reference_data import ARRAY_P5_N2, SEQ_P17
 
 
 def random_ternary(rng, dims):
     return TernaryArray(rng.integers(-1, 2, size=dims))
+
+
+def per_entry_nda(arr):
+    """Reference writer: each entry formatted on its own, one line per trailing-axis run."""
+    lines = ["NDA1", str(arr.rank), " ".join(str(d) for d in arr.dims), arr.kind]
+    flat = arr.values.reshape(-1)
+    width = arr.dims[-1]
+    for start in range(0, flat.size, width):
+        lines.append(" ".join(str(int(v)) for v in flat[start : start + width]))
+    return "\n".join(lines) + "\n"
+
+
+def _written_arrays():
+    """The arrays the CLI writes: family members, Legendre arrays, correlation tables."""
+    for p, n in [(3, 2), (5, 2), (7, 2), (13, 2), (3, 3), (3, 4)]:
+        params = LegendreParams(p, n).resolve()
+        family = build_family(legendre_array(params), params)
+        yield from (member.arr for member in family)
+        yield full_correlation_fast(family[1].arr, family[1].arr)
+        yield full_correlation_fast(family[0].arr, family[p - 1].arr)
+    for p, n in [(7, 4), (3, 7), (23, 3), (5, 5)]:
+        for a in (-1, 0, 1):
+            yield legendre_array(LegendreParams(p, n, a))
 
 
 class TestConstruction:
@@ -148,15 +174,6 @@ class TestNdaFormat:
             deserialize(text)
 
     def test_matches_per_entry_formatting(self):
-        # reference: each entry formatted on its own, one line per trailing-axis run
-        def per_entry(arr):
-            lines = ["NDA1", str(arr.rank), " ".join(str(d) for d in arr.dims), arr.kind]
-            flat = arr.values.reshape(-1)
-            width = arr.dims[-1]
-            for start in range(0, flat.size, width):
-                lines.append(" ".join(str(int(v)) for v in flat[start : start + width]))
-            return "\n".join(lines) + "\n"
-
         rng = np.random.default_rng(31)
         extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 1])
         for rank in range(1, 9):
@@ -165,7 +182,38 @@ class TestNdaFormat:
                 ints = rng.integers(-(2**62), 2**62, size=dims, dtype=np.int64)
                 ints.reshape(-1)[: extremes.size] = extremes[: ints.size]
                 for arr in (random_ternary(rng, dims), IntArray(ints)):
-                    assert serialize(arr) == per_entry(arr), (rank, dims, arr.kind)
+                    assert serialize(arr) == per_entry_nda(arr), (rank, dims, arr.kind)
+
+    def test_written_arrays_match_per_entry_formatting(self):
+        count = 0
+        for arr in _written_arrays():
+            text = serialize(arr)
+            assert text == per_entry_nda(arr), (arr.dims, arr.kind)
+            assert deserialize(text) == arr, (arr.dims, arr.kind)
+            count += 1
+        assert count == 3 + 5 + 7 + 13 + 3 + 3 + 6 * 2 + 4 * 3
+
+    def test_int_tokens_parse_as_python_int(self):
+        # "\u0663" is ARABIC-INDIC DIGIT THREE, which int() reads as 3
+        arr = deserialize("NDA1\n1\n5\nint\n+1 01 1_0 -0 \u0663\n")
+        assert arr.values.tolist() == [1, 1, 10, 0, 3]
+
+    @pytest.mark.parametrize("token", ["1.5", "x"])
+    def test_non_integer_token_rejected(self, token):
+        with pytest.raises(ValueError, match="non-integer entry"):
+            deserialize(f"NDA1\n1\n2\nint\n1 {token}\n")
+
+    def test_int64_limits_parse(self):
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        arr = deserialize(f"NDA1\n1\n2\nint\n{lo} {hi}\n")
+        assert arr.values.tolist() == [lo, hi]
+
+    @pytest.mark.parametrize("kind", ["int", "ternary"])
+    @pytest.mark.parametrize("entry", ["99999999999999999999", "9223372036854775808",
+                                       "-9223372036854775809"])
+    def test_entry_outside_int64_rejected(self, kind, entry):
+        with pytest.raises(ValueError, match=f"entry {entry} is outside the int64 range"):
+            deserialize(f"NDA1\n1\n2\n{kind}\n0 {entry}\n")
 
     def test_serialization_is_deterministic(self):
         rng = np.random.default_rng(29)

@@ -144,6 +144,28 @@ class TestCorr:
         assert code == 1
         assert "mismatch" in err
 
+    @pytest.mark.parametrize("fast", [(), ("--fast",)], ids=["naive", "fast"])
+    def test_overflowing_int_table_exits_1(self, capsys, tmp_path, fast):
+        # the true table is [2**124 + 9, 6 * 2**62]; int64 would wrap it
+        path = tmp_path / "a.nda"
+        path.write_text("NDA1\n1\n2\nint\n4611686018427387904 3\n")
+        code, out, err = run(capsys, "corr", str(path), str(path), *fast, "--out", "-")
+        assert code == 1 and out == ""
+        assert err.startswith("legarray: error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("corr", "{0}", "{0}", "--out", "-"), ("flatten", "{0}", "--out", "-"),
+         ("render", "{0}", "--out", "{0}.pgm")],
+        ids=["corr", "flatten", "render"],
+    )
+    def test_entry_outside_int64_exits_1(self, capsys, tmp_path, argv):
+        path = tmp_path / "big.nda"
+        path.write_text("NDA1\n1\n1\nint\n99999999999999999999\n")
+        code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+        assert code == 1 and out == ""
+        assert err == "legarray: error: entry 99999999999999999999 is outside the int64 range\n"
+
 
 class TestVerify:
     def test_reference_instance_passes(self, capsys):

@@ -93,6 +93,18 @@ class TestFullCorrelation:
         a = IntArray([[3, -2], [0, 5]])
         assert np.array_equal(full_correlation(a, a).values, loop_correlation(a.values, a.values))
 
+    def test_refuses_tables_beyond_int64(self):
+        top = 2**62
+        b = IntArray([1, 0])
+        # sum|a| * max|b| == 2**63 - 1 still fits
+        assert full_correlation(IntArray([top, top - 1]), b).values.tolist() == [top, top - 1]
+        # |INT64_MIN| is 2**63, although np.abs wraps it to INT64_MIN;
+        # [2**62, 3] against itself wraps to 9 and INT64_MIN in int64
+        pairs = [([top, top], [1, 0]), ([np.iinfo(np.int64).min, 0], [1, 0]), ([top, 3], [top, 3])]
+        for a, b in pairs:
+            with pytest.raises(ValueError, match="beyond the int64 range"):
+                full_correlation(IntArray(a), IntArray(b))
+
 
 class TestReferenceTables:
     def test_autocorrelation_tables(self, family_3_2):
@@ -146,6 +158,16 @@ class TestFastPath:
         monkeypatch.setattr(np.fft, "irfftn", noisy_irfftn)
         with pytest.raises(PrecisionError):
             full_correlation_fast(a, a)
+
+    def test_refuses_tables_reaching_2_53(self):
+        # float64 rounds integers from 2**53 on, and the residual cannot see it
+        top = 2**52
+        b = IntArray([1, 0])
+        a = IntArray([top, top - 1])
+        assert full_correlation_fast(a, b) == full_correlation(a, b)
+        for a in ([top, top], [2**62, 3]):
+            with pytest.raises(PrecisionError, match=r"2\*\*53"):
+                full_correlation_fast(IntArray(a), b)
 
 
 BOUND_GRID = [(3, 1), (5, 1), (11, 1), (3, 2), (3, 3)]

@@ -264,7 +264,33 @@ class TestFindPrimitivePoly:
         assert checked >= 40
 
 
+def powers_by_recurrence(field):
+    """Reference antilog table: multiply by x and reduce, one power at a time."""
+    p, n, mod = field.p, field.n, field.modulus.coeffs
+    cur = [1] + [0] * (n - 1)
+    table = [tuple(cur)]
+    for _ in range(field.order - 1):
+        carry = cur[-1]
+        for j in range(n - 1, 0, -1):
+            cur[j] = (cur[j - 1] - carry * mod[j]) % p
+        cur[0] = (-carry * mod[0]) % p
+        table.append(tuple(cur))
+    return table
+
+
 class TestPowers:
+    def test_doubling_matches_recurrence(self):
+        small = [(p, n) for p in range(3, 2000) if is_prime(p)
+                 for n in range(1, 7) if p**n <= 2000]
+        for p, n in small + [(7, 4), (3, 7), (23, 3), (5, 5), (3, 8)]:
+            field = ExtField(p, n)
+            assert field.powers() == powers_by_recurrence(field), (p, n)
+
+    def test_cached_table_is_read_only(self):
+        table = ExtField(5, 2).power_table()
+        with pytest.raises(ValueError):
+            table[0, 0] = 2
+
     def test_first_powers(self):
         field = ExtField(5, 2, Poly((2, 4, 1), 5))
         assert field.power(0) == (1, 0)
