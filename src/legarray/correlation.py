@@ -13,7 +13,7 @@ the oracle bit-exactly, guarded by a residual check.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -138,6 +138,47 @@ def full_correlation_fast(a, b) -> IntArray:
 _METHODS = {"naive": full_correlation, "fast": full_correlation_fast}
 
 
+class PeakShifts(Sequence):
+    """Shifts of a correlation table, in C order, each read as a tuple of ints.
+
+    Held as one int64 array of flat (C-order) indices into a table of the
+    given shape; a shift's tuple is made only when it is read. Compares
+    equal to another PeakShifts of the same shifts, or to the tuple of
+    their tuples.
+    """
+
+    __slots__ = ("flat", "shape")
+
+    def __init__(self, flat: np.ndarray, shape: tuple[int, ...]):
+        self.flat = flat
+        self.shape = tuple(shape)
+
+    def __len__(self) -> int:
+        return len(self.flat)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PeakShifts(self.flat[i], self.shape)
+        return tuple(int(c) for c in np.unravel_index(self.flat[i], self.shape))
+
+    def __iter__(self):
+        return map(tuple, self.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, PeakShifts):
+            return self.shape == other.shape and np.array_equal(self.flat, other.flat)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PeakShifts({len(self)} shifts of {self.shape})"
+
+    def tolist(self) -> list[list[int]]:
+        """Every shift as a list of ints, in order."""
+        return np.stack(np.unravel_index(self.flat, self.shape), axis=-1).tolist()
+
+
 @dataclass(frozen=True)
 class CorrelationReport:
     """Outcome of checking a correlation table against its proven bound.
@@ -146,6 +187,9 @@ class CorrelationReport:
     all-zeros); for cross-correlation it applies to every shift, and
     `off_peak_max_abs`/`peak_shifts`/`value_histogram` cover all shifts.
     `peak_value` is always the correlation at the all-zero shift.
+    `peak_shifts` holds every bounded shift where |theta| equals
+    `off_peak_max_abs`, in C order, as a `PeakShifts`: one int64 array of
+    flat table indices, read as a sequence of shift tuples.
     """
 
     mode: str  # "auto" | "cross"
@@ -153,19 +197,23 @@ class CorrelationReport:
     bound: int
     peak_value: int
     off_peak_max_abs: int
-    peak_shifts: tuple[tuple[int, ...], ...]
+    peak_shifts: PeakShifts
     value_histogram: dict[int, int]
     passed: bool
     values_match_derivation: bool
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, max_shifts: int | None = None) -> dict:
+        """The report as JSON-ready values. `peak_shift_count` counts every
+        attaining shift; `peak_shifts` lists the first `max_shifts` of them
+        in C order, or all of them when `max_shifts` is None."""
         return {
             "mode": self.mode,
             "members": list(self.members),
             "bound": self.bound,
             "peak_value": self.peak_value,
             "off_peak_max_abs": self.off_peak_max_abs,
-            "peak_shifts": [list(s) for s in self.peak_shifts],
+            "peak_shift_count": len(self.peak_shifts),
+            "peak_shifts": self.peak_shifts[:max_shifts].tolist(),
             "value_histogram": {str(k): v for k, v in sorted(self.value_histogram.items())},
             "passed": self.passed,
             "values_match_derivation": self.values_match_derivation,
@@ -180,7 +228,7 @@ def _bound_report(table, mode, members, bound, expected_values):
     region = flat[start:]
     abs_region = np.abs(region)
     max_abs = int(abs_region.max())
-    attaining = np.unravel_index(np.flatnonzero(abs_region == max_abs) + start, table.shape)
+    attaining = np.flatnonzero(abs_region == max_abs) + start
     values, counts = np.unique(region, return_counts=True)
     histogram = {int(v): int(c) for v, c in zip(values, counts)}
     observed = set(histogram)
@@ -194,7 +242,7 @@ def _bound_report(table, mode, members, bound, expected_values):
         bound=bound,
         peak_value=int(flat[0]),
         off_peak_max_abs=max_abs,
-        peak_shifts=tuple(zip(*(axis.tolist() for axis in attaining))),
+        peak_shifts=PeakShifts(attaining, table.shape),
         value_histogram=histogram,
         passed=max_abs <= bound,
         values_match_derivation=match,

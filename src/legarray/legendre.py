@@ -9,6 +9,7 @@ autocorrelation equals exactly -1.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +25,16 @@ class LegendreParams:
 
     `poly` must be monic primitive of degree n; it is ignored for n = 1,
     where quadratic residues are used directly. When omitted it defaults to
-    the deterministic find_primitive_poly(p, n).
+    the deterministic find_primitive_poly(p, n). `searched` is True only on
+    the params `resolve()` returns with a polynomial it searched for, which
+    that search has proved primitive.
     """
 
     p: int
     n: int
     a: int = 0
     poly: Poly | None = None
+    searched: bool = dataclasses.field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_odd_prime(self.p)
@@ -49,7 +53,9 @@ class LegendreParams:
         """Fill in the default polynomial so downstream outputs are reproducible."""
         if self.n == 1 or self.poly is not None:
             return self
-        return LegendreParams(self.p, self.n, self.a, find_primitive_poly(self.p, self.n))
+        resolved = LegendreParams(self.p, self.n, self.a, find_primitive_poly(self.p, self.n))
+        object.__setattr__(resolved, "searched", True)
+        return resolved
 
 
 def legendre_sequence(p: int, a: int = 0) -> TernaryArray:
@@ -81,7 +87,7 @@ def legendre_array(params: LegendreParams) -> TernaryArray:
     p, n = params.p, params.n
     if n == 1:
         return legendre_sequence(p, params.a)
-    if not is_primitive(params.poly, n):
+    if not params.searched and not is_primitive(params.poly, n):
         raise ValueError(f"{params.poly} is not primitive of degree {n} over GF({p})")
     field = ExtField(p, n, params.poly.monic_reciprocal())
     coeffs = field.power_table()  # (p^n - 1, n), little-endian

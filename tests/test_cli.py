@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -14,6 +15,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def bound_reports(report):
+    return report["theorem1"] + report["theorem2"]
+
+
+# sha256 of verify's stdout before the report gained `peak_shift_count`,
+# when every attaining shift was listed: `--full` minus that key reproduces it
+FULL_REPORT_SHA256 = {
+    ("--p", "3", "--n", "2", "--poly", "2,2,1"):
+        "9df76ea430fa2f1ba6af177b26de4315914af52f5c90643b10ac191d0c299cd4",
+    ("--p", "5", "--n", "2", "--fast"):
+        "15bd17055d6d4263cbbbacbd06743a01334b9f49829c0250e1a13b4c6204f540",
+}
 
 
 class TestGenLegendre:
@@ -186,9 +201,42 @@ class TestVerify:
         assert json.loads(out)["poly"] == "2,1,1"
 
     def test_fast_matches_naive(self, capsys):
-        _, out1, _ = run(capsys, "verify", "--p", "3", "--n", "2")
-        _, out2, _ = run(capsys, "verify", "--p", "3", "--n", "2", "--fast")
-        assert out1 == out2
+        for args in (("--p", "3", "--n", "2"), ("--p", "5", "--n", "2"),
+                     ("--p", "5", "--n", "2", "--full")):
+            _, out1, _ = run(capsys, "verify", *args)
+            _, out2, _ = run(capsys, "verify", *args, "--fast")
+            assert out1 == out2, args
+
+    @pytest.mark.parametrize("args", list(FULL_REPORT_SHA256), ids=["3-2-poly", "5-2-fast"])
+    def test_full_reproduces_complete_report(self, capsys, args):
+        code, out, _ = run(capsys, "verify", *args, "--full")
+        assert code == 0
+        report = json.loads(out)
+        for r in bound_reports(report):
+            assert r.pop("peak_shift_count") == len(r["peak_shifts"])
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == FULL_REPORT_SHA256[args]
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
+    def test_default_report_lists_first_shifts(self, capsys, p, n):
+        field = ("--p", str(p), "--n", str(n), "--fast")
+        _, out, _ = run(capsys, "verify", *field)
+        _, full_out, _ = run(capsys, "verify", *field, "--full")
+        report, full = json.loads(out), json.loads(full_out)
+        for r in bound_reports(full):
+            assert r["peak_shift_count"] == len(r["peak_shifts"])
+            r["peak_shifts"] = r["peak_shifts"][:8]
+        assert report == full
+        # every report here has more attaining shifts than are listed
+        assert all(r["peak_shift_count"] > 8 for r in bound_reports(report))
+
+    def test_large_family_report_stays_small(self, capsys):
+        code, out, _ = run(capsys, "verify", "--p", "13", "--n", "2", "--fast")
+        assert code == 0
+        assert len(out.encode()) < 100_000
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert all(len(r["peak_shifts"]) == 8 for r in bound_reports(report))
 
     def test_out_flag_writes_report_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -206,9 +254,10 @@ class TestVerify:
             return correlation.CorrelationReport(**{**report.__dict__, "passed": False})
 
         monkeypatch.setattr(cli_mod.correlation, "verify_autocorrelation", fake_verify)
-        code, out, _ = run(capsys, "verify", "--p", "3", "--n", "2")
-        assert code == 2
-        assert json.loads(out)["passed"] is False
+        for full in ((), ("--full",)):
+            code, out, _ = run(capsys, "verify", "--p", "3", "--n", "2", *full)
+            assert code == 2
+            assert json.loads(out)["passed"] is False
 
 
 class TestWelch:

@@ -7,6 +7,8 @@ import pytest
 from legarray.arrays import IntArray, TernaryArray
 from legarray.correlation import (
     FAST_SIZE_LIMIT,
+    CorrelationReport,
+    PeakShifts,
     PrecisionError,
     cross_correlation_at,
     full_correlation,
@@ -237,6 +239,27 @@ class TestBoundReports:
         s1, s2 = family_3_2[1], family_3_2[2]
         assert int(full_correlation(s1.arr, s2.arr).values.sum()) == 0
         assert int(full_correlation(s1.arr, s1.arr).values.sum()) == 0
+
+    def test_peak_shifts_read_as_tuples(self, family_3_2):
+        cross = verify_cross_correlation(family_3_2[1], family_3_2[2])
+        shifts = cross.peak_shifts
+        expected = [tuple(s) for s in np.argwhere(np.abs(THETA_S1_S2) == 10)]
+        assert isinstance(shifts, PeakShifts) and shifts.flat.dtype == np.int64
+        assert len(shifts) == 24 and list(shifts) == expected
+        assert shifts[0] == expected[0] and shifts[-1] == expected[-1]
+        assert all(type(c) is int for c in shifts[5])
+        assert shifts[:8] == tuple(expected[:8]) and len(shifts[:8]) == 8
+        assert shifts != tuple(expected[:8]) and shifts != list(expected)
+        assert CorrelationReport(**cross.__dict__) == cross
+
+    def test_json_dict_lists_first_shifts(self, family_3_2):
+        cross = verify_cross_correlation(family_3_2[1], family_3_2[2])
+        full = cross.to_json_dict()
+        assert full["peak_shift_count"] == 24
+        assert full["peak_shifts"] == [list(s) for s in cross.peak_shifts]
+        cut = cross.to_json_dict(max_shifts=8)
+        assert cut == {**full, "peak_shifts": full["peak_shifts"][:8]}
+        assert cross.to_json_dict(max_shifts=100) == full
 
     def test_fast_method_gives_same_report(self, family_3_2):
         naive = verify_autocorrelation(family_3_2[1], method="naive")

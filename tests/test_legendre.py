@@ -141,6 +141,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             legendre_array(LegendreParams(p=3, n=2, poly=Poly((1, 0, 1), 3)))
 
+    def test_tests_only_a_supplied_poly(self, monkeypatch):
+        # a searched polynomial is proved by find_primitive_poly itself
+        import legarray.legendre as legendre_mod
+
+        tested = []
+
+        def counting_is_primitive(poly, n=None):
+            tested.append(poly)
+            return is_primitive(poly, n)
+
+        monkeypatch.setattr(legendre_mod, "is_primitive", counting_is_primitive)
+        searched = LegendreParams(p=5, n=2).resolve()
+        assert searched.searched
+        legendre_array(LegendreParams(p=5, n=2))
+        legendre_array(searched)
+        assert tested == []
+        supplied = LegendreParams(p=5, n=2, poly=searched.poly)
+        assert supplied == searched and not supplied.searched
+        legendre_array(supplied)
+        assert tested == [searched.poly]
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             LegendreParams(p=9, n=2)
