@@ -6,9 +6,11 @@ The periodic cross-correlation of equal-sized arrays A, B at shift s is
 
 (entries are real integers, so the conjugate in the general definition is
 the identity). `full_correlation` evaluates this sum directly in integer
-arithmetic and is the canonical oracle; `full_correlation_fast` rounds the
-float table of `fft_correlation`, the one FFT kernel, and must reproduce
-the oracle bit-exactly, guarded by a residual check.
+arithmetic and is the canonical oracle. `exact_tables` is the one FFT
+kernel: it rounds each float table to int64 behind a 2**53 refusal and a
+residual check. `full_correlation_fast` runs it on one pair and must
+reproduce the oracle bit-exactly; `sheared_spectra` feeds it every family
+member's spectrum from one transform of the base array.
 """
 
 from __future__ import annotations
@@ -92,19 +94,55 @@ def full_correlation(a, b) -> IntArray:
     return IntArray(table)
 
 
-def fft_correlation(x: np.ndarray, ys: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Unrounded float tables theta_{x,y}(s) of x against each y in `ys`.
+def _round_exact(table: np.ndarray) -> np.ndarray:
+    rounded = np.rint(table)
+    residual = float(np.abs(table - rounded).max())
+    if residual >= RESIDUAL_TOLERANCE:
+        raise PrecisionError(
+            f"rounding residual {residual:.3e} >= {RESIDUAL_TOLERANCE:.0e}; "
+            "array too large for the float path"
+        )
+    return rounded.astype(np.int64)
 
-    All arrays are float and of x's shape. x is transformed once; each y
-    costs one forward and one inverse transform, and its table is yielded
-    before the next y is read. Each table is bit for bit the one computed
-    with y alone in `ys`.
+
+def exact_tables(
+    x: np.ndarray, spectra: Iterable[np.ndarray], bound: int
+) -> Iterator[np.ndarray]:
+    """Exact int64 tables theta_{x,y}(s) of x against each y in turn.
+
+    Each y is given by its half spectrum `np.fft.rfftn(y)` over all axes of
+    x's shape; `bound` caps |theta| for every y. x is transformed once, and
+    each table costs one inverse transform and is yielded before the next
+    spectrum is read. Raises PrecisionError, before any transform, when
+    `bound` reaches 2**53, where float64 holds integers inexactly and the
+    residual would not show the rounding; and, as a table is read, when
+    any entry's rounding residual reaches RESIDUAL_TOLERANCE.
     """
+    if bound >= 2**53:
+        raise PrecisionError(
+            f"correlation values may reach {bound} >= 2**53; too large for the float path"
+        )
     axes = tuple(range(x.ndim))
-    fx_conj = np.conj(np.fft.rfftn(x, s=x.shape, axes=axes))
-    for y in ys:
-        fy = np.fft.rfftn(y, s=x.shape, axes=axes)
-        yield np.fft.irfftn(fx_conj * fy, s=x.shape, axes=axes)
+    fx_conj = np.conj(np.fft.rfftn(x, axes=axes))
+    return (_round_exact(np.fft.irfftn(fx_conj * fy, s=x.shape, axes=axes)) for fy in spectra)
+
+
+def sheared_spectra(base: np.ndarray, ms: Iterable[int]) -> Iterator[np.ndarray]:
+    """Half spectra rfftn(S_m) of the members S_m(x, y) = A(x) * A(y - m*x).
+
+    A is the rank-n base array of extent p per axis. Substituting
+    z = y - m*x factors each member's DFT into two samples of A's:
+    F[S_m](xi, eta) = F[A](xi + m*eta) * F[A](eta), indices mod p. So one
+    transform of A's p^n cells gives every member's spectrum, sampled here
+    on the half grid that rfftn keeps over the member's 2n axes.
+    """
+    p, n = base.shape[0], base.ndim
+    fa = np.fft.fftn(base)
+    half = (p,) * (2 * n - 1) + (p // 2 + 1,)
+    idx = np.ogrid[tuple(slice(0, d) for d in half)]
+    f_eta = fa[tuple(idx[n:])]
+    for m in ms:
+        yield fa[tuple((idx[k] + m * idx[n + k]) % p for k in range(n))] * f_eta
 
 
 def full_correlation_fast(a, b) -> IntArray:
@@ -120,19 +158,8 @@ def full_correlation_fast(a, b) -> IntArray:
     if a.size > FAST_SIZE_LIMIT:
         raise ValueError(f"array size {a.size} exceeds fast-path limit {FAST_SIZE_LIMIT}")
     bound = _theta_bound(a, b)
-    if bound >= 2**53:
-        raise PrecisionError(
-            f"correlation values may reach {bound} >= 2**53; too large for the float path"
-        )
-    (table,) = fft_correlation(a.values.astype(np.float64), [b.values.astype(np.float64)])
-    rounded = np.rint(table)
-    residual = float(np.abs(table - rounded).max())
-    if residual >= RESIDUAL_TOLERANCE:
-        raise PrecisionError(
-            f"rounding residual {residual:.3e} >= {RESIDUAL_TOLERANCE:.0e}; "
-            "array too large for the float path"
-        )
-    return IntArray(rounded.astype(np.int64))
+    (table,) = exact_tables(a.values, [np.fft.rfftn(b.values)], bound)
+    return IntArray(table)
 
 
 _METHODS = {"naive": full_correlation, "fast": full_correlation_fast}

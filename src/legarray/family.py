@@ -42,8 +42,12 @@ class FamilyMember:
 
 @dataclass(frozen=True)
 class ArrayFamily:
+    """The p members in index order, with the rank-n base array A they were
+    built from (None when the family was assembled from members alone)."""
+
     members: tuple[FamilyMember, ...]
     params: LegendreParams = field(compare=False)
+    base: TernaryArray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.members) != self.params.p:
@@ -92,6 +96,7 @@ def build_family(arr: TernaryArray, params: LegendreParams) -> ArrayFamily:
     return ArrayFamily(
         members=tuple(build_member(arr, m, params) for m in range(params.p)),
         params=params,
+        base=arr,
     )
 
 

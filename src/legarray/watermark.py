@@ -5,21 +5,21 @@ to two dimensions by pairing axis k with axis n+k (i_k = q_k * d_{n+k} + r_k)
 until rank 2 remains, tiled over the carrier, and added at a small integer
 strength; the whole fold is one permutation of the axes followed by one
 reshape. Extraction reverses the pipeline: fold the tiles back into one
-period, remove the DC term, partition into the 2n-dimensional
-representation, and search the correlation tables of every family member
-for the global peak, which encodes both the member index and all 2n
-shifts.
+period, partition it into the 2n-dimensional representation, and search
+the exact correlation tables of every family member for the global peak,
+which encodes both the member index and all 2n shifts.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import TernaryArray
-from .correlation import fft_correlation
+from .correlation import exact_tables, sheared_spectra
 from .family import ArrayFamily, FamilyMember
 from .images import GrayImage
 
@@ -54,8 +54,14 @@ class EmbedConfig:
 
 @dataclass(frozen=True)
 class ExtractionResult:
+    """Decoded payload and the evidence for it.
+
+    `score` is the peak correlation, an exact integer; `snr` is the peak
+    against the RMS of every other table entry, in float64.
+    """
+
     payload: Payload
-    score: float
+    score: int
     snr: float
     confident: bool
 
@@ -167,41 +173,54 @@ def embed(
     return GrayImage(marked.astype(np.uint8))
 
 
+def _member_tables(period: np.ndarray, family: ArrayFamily) -> Iterator[np.ndarray]:
+    """Exact correlation table of the rank-2n `period` against each member,
+    in family order: p + 1 transforms of the period's size in all."""
+    if family.base is None:
+        raise ValueError("extraction requires the family's base array")
+    spectra = sheared_spectra(family.base.values, (member.m for member in family))
+    # members are ternary, so no |theta| exceeds sum|period|
+    return exact_tables(period, spectra, bound=int(np.abs(period).sum()))
+
+
 def extract(
     img: GrayImage, family: ArrayFamily, snr_threshold: float = DEFAULT_SNR_THRESHOLD
 ) -> ExtractionResult:
     """Recover (member, shifts) from a marked image by correlation peak search.
 
     The image is cropped to whole tiles, the tiles are summed into one
-    period (coherent gain, exact integer sums), the tile mean is removed
-    (members are zero-sum, so this only suppresses the carrier's DC), and
-    the period is partitioned back into rank 2n. The period is transformed
-    once and correlated with each member in turn, 2p + 1 transforms in all.
-    The returned snr is the peak against the RMS of all other correlation
-    entries across every member; results with snr below `snr_threshold`
-    keep their payload but are flagged not confident.
+    integer period (coherent gain), and the period is partitioned back into
+    rank 2n. It is transformed once; each member's spectrum comes from one
+    transform of the family's base array, and each member's table costs one
+    inverse transform, so p + 1 transforms of the period's size in all.
+    Every table is rounded to exact integers. The carrier's DC needs no
+    removal: the base array sums to zero, so every member's spectrum is
+    zero there. The returned score is the integer peak and the snr is the
+    peak against the RMS of all other correlation entries across every
+    member; results with snr below `snr_threshold` keep their payload but
+    are flagged not confident. Families with origin value a != 0 are
+    refused: their members do not sum to zero.
     """
+    if family.params.a != 0:
+        raise ValueError("extraction requires origin value a = 0")
     member_dims = family[0].arr.dims
     th, tw = tile_dims(member_dims)
     if img.height < th or img.width < tw:
         raise ValueError(
             f"image {img.width}x{img.height} smaller than one {tw}x{th} watermark tile"
         )
-    folded = _fold_tiles(img.pixels, th, tw)
-    folded -= folded.mean()
-    data = _unflatten_values(folded, member_dims)
+    period = _unflatten_values(_fold_tiles(img.pixels, th, tw), member_dims)
 
     best_value = -np.inf
     best_m = 0
     best_shift = (0,) * len(member_dims)
     total_sq = 0.0
     total_count = 0
-    tables = fft_correlation(data, (member.arr.values.astype(np.float64) for member in family))
-    for member, table in zip(family, tables):
-        total_sq += float(np.sum(table**2))
+    for member, table in zip(family, _member_tables(period, family)):
+        total_sq += float(np.sum(np.square(table, dtype=np.float64)))
         total_count += table.size
         peak_idx = np.unravel_index(np.argmax(table), table.shape)
-        value = float(table[peak_idx])
+        value = int(table[peak_idx])
         if value > best_value:
             best_value = value
             best_m = member.m

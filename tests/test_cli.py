@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from legarray import arrays, correlation, images
-from legarray.cli import main
+from legarray.cli import build_parser, main
 
+from cli_usage_text import CLI_USAGE
 from reference_data import FLATTENED_S1, SEQ_P17, THETA_S1
 
 
@@ -348,3 +349,24 @@ class TestUsage:
     def test_bad_poly_string_exits_1(self, capsys):
         code, _, err = run(capsys, "gen-legendre", "--p", "3", "--n", "2", "--poly", "a,b")
         assert code == 1
+
+
+class TestUsageText:
+    """Help and usage errors are byte-exact, however many times main runs."""
+
+    @pytest.fixture(autouse=True)
+    def _fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv", list(CLI_USAGE))
+    def test_output_is_pinned(self, capsys, argv):
+        assert run(capsys, *argv) == CLI_USAGE[argv]
+
+    def test_repeated_calls_in_one_process(self, capsys):
+        for _ in range(2):
+            for argv in CLI_USAGE:
+                assert run(capsys, *argv) == CLI_USAGE[argv]
+                assert run(capsys, "welch", "--p", "3", "--n", "2")[0] == 0
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()

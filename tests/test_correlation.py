@@ -1,5 +1,7 @@
 import itertools
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from legarray.correlation import (
     PeakShifts,
     PrecisionError,
     cross_correlation_at,
+    exact_tables,
     full_correlation,
     full_correlation_fast,
     verify_autocorrelation,
@@ -170,6 +173,26 @@ class TestFastPath:
         for a in ([top, top], [2**62, 3]):
             with pytest.raises(PrecisionError, match=r"2\*\*53"):
                 full_correlation_fast(IntArray(a), b)
+
+    def test_shared_kernel_refuses_bound_2_53_before_transforming(self, monkeypatch):
+        x = np.array([3, 0, 1])
+        spectra = [np.fft.rfftn(np.array([1, -1, 0]))]
+        (table,) = exact_tables(x, spectra, bound=2**53 - 1)
+        assert table.tolist() == full_correlation(IntArray(x), IntArray([1, -1, 0])).values.tolist()
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transformed before refusing")
+
+        monkeypatch.setattr(np.fft, "rfftn", no_transform)
+        with pytest.raises(PrecisionError, match=r"2\*\*53"):
+            exact_tables(x, spectra, bound=2**53)
+
+
+def test_numpy_fft_used_only_in_correlation_module():
+    src = Path(__file__).resolve().parent.parent / "src" / "legarray"
+    fft_use = re.compile(r"\b(np|numpy)\.fft\b|\bimport\s+fft\b")
+    users = sorted(f.name for f in src.glob("*.py") if fft_use.search(f.read_text()))
+    assert users == ["correlation.py"]
 
 
 BOUND_GRID = [(3, 1), (5, 1), (11, 1), (3, 2), (3, 3)]

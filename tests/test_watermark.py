@@ -1,12 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legarray.arrays import TernaryArray
+from legarray.arrays import IntArray, TernaryArray
+from legarray.correlation import (
+    PrecisionError,
+    full_correlation,
+    full_correlation_fast,
+    sheared_spectra,
+)
 from legarray.images import GrayImage
 from legarray.legendre import LegendreParams, legendre_array
-from legarray.family import build_family
+from legarray.family import ArrayFamily, build_family
 from legarray.watermark import (
     EmbedConfig,
     Payload,
@@ -17,6 +25,8 @@ from legarray.watermark import (
     unflatten,
     _flatten_values,
     _fold_tiles,
+    _member_tables,
+    _unflatten_values,
 )
 
 from reference_data import FLATTENED_S1
@@ -251,26 +261,124 @@ class TestExtract:
         assert set(d) == {"m", "shifts", "score", "snr", "confident"}
         assert d["m"] == 1 and d["shifts"] == [1, 0, 1, 0]
 
+    def test_score_is_an_exact_integer(self, family_3_2):
+        marked = embed(flat_gray(27), family_3_2[1], Payload(m=1, shifts=(1, 0, 1, 0)))
+        result = extract(marked, family_3_2)
+        assert type(result.score) is int
+        assert f'"score": {result.score},' in json.dumps(result.to_json_dict())
 
-# extract(...).to_json_dict() recorded before the decode path shared one
-# transform of the folded period across members and folded in integers.
-# Floats compare with ==, so any reordering of the FFT arithmetic shows.
-# The confident result on the unmarked (5,2) carrier is the known
-# confident-wrong defect, and off-grid crops recover the member but not
-# the shifts; both are pinned as they are.
+    def test_nonzero_origin_value_refused(self):
+        params = LegendreParams(p=3, n=2, a=1).resolve()
+        family = build_family(legendre_array(params), params)
+        with pytest.raises(ValueError, match=r"origin value a = 0"):
+            extract(flat_gray(27), family)
+
+    def test_family_without_base_refused(self, family_3_2):
+        family = ArrayFamily(members=family_3_2.members, params=family_3_2.params)
+        assert family == family_3_2
+        with pytest.raises(ValueError, match="base array"):
+            extract(flat_gray(27), family)
+
+    def test_residual_guard(self, family_3_2, monkeypatch):
+        real_irfftn = np.fft.irfftn
+
+        def noisy_irfftn(*args, **kwargs):
+            return real_irfftn(*args, **kwargs) + 0.25
+
+        monkeypatch.setattr(np.fft, "irfftn", noisy_irfftn)
+        with pytest.raises(PrecisionError):
+            extract(flat_gray(27), family_3_2)
+
+
+def family_for(p, n):
+    params = LegendreParams(p=p, n=n).resolve()
+    return build_family(legendre_array(params), params)
+
+
+def marked_period(family, seed):
+    """Integer rank-2n period folded from a noise carrier marked with a
+    random payload, cropped off-grid by one pixel."""
+    p, dims = family.params.p, family[0].arr.dims
+    th, tw = tile_dims(dims)
+    rng = np.random.default_rng(seed)
+    carrier = rng.integers(0, 256, size=(3 * th + 2, 3 * tw + 1), dtype=np.uint8)
+    payload = Payload(int(rng.integers(p)), tuple(rng.integers(p, size=len(dims))))
+    marked = embed(GrayImage(carrier), family[payload.m], payload).pixels[1:, :]
+    return _unflatten_values(_fold_tiles(marked, th, tw), dims)
+
+
+class TestMemberTables:
+    """extract's tables against independent paths, entry by entry."""
+
+    @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3), (3, 4)])
+    def test_equal_the_oracle(self, p, n):
+        family = family_for(p, n)
+        period = marked_period(family, 100 * p + n)
+        oracle_input = IntArray(period.astype(np.int64))
+        tables = list(_member_tables(period, family))
+        assert len(tables) == p
+        for member, table in zip(family, tables):
+            assert table.dtype == np.int64
+            # the oracle takes about a second per (3,4) table, so there it
+            # checks the member with the largest shear and the fast path the rest
+            use_oracle = (p, n) != (3, 4) or member.m == p - 1
+            oracle = full_correlation if use_oracle else full_correlation_fast
+            assert np.array_equal(table, oracle(oracle_input, member.arr).values)
+
+    def test_equal_the_fast_path_at_13_2(self):
+        family = family_for(13, 2)
+        period = IntArray(marked_period(family, 1302).astype(np.int64))
+        for member, table in zip(family, _member_tables(period.values, family)):
+            assert np.array_equal(table, full_correlation_fast(period, member.arr).values)
+
+    @pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (13, 2), (3, 4)])
+    def test_sheared_spectra_equal_member_spectra(self, p, n):
+        family = family_for(p, n)
+        spectra = sheared_spectra(family.base.values, range(p))
+        for member, spectrum in zip(family, spectra):
+            assert np.allclose(spectrum, np.fft.rfftn(member.arr.values), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
+    def test_transform_count(self, p, n, monkeypatch):
+        family = family_for(p, n)
+        th, tw = tile_dims(family[0].arr.dims)
+        calls = []
+        for name in ("fftn", "rfftn", "irfftn"):
+            real = getattr(np.fft, name)
+
+            def counted(x, *args, _name=name, _real=real, **kwargs):
+                out = _real(x, *args, **kwargs)
+                cells = out.size if _name == "irfftn" else np.asarray(x).size
+                calls.append((_name, cells))
+                return out
+
+            monkeypatch.setattr(np.fft, name, counted)
+        extract(flat_gray(2 * max(th, tw)), family)
+        big = p ** (2 * n)
+        assert sorted(calls) == sorted(
+            [("fftn", p**n), ("rfftn", big)] + [("irfftn", big)] * p
+        )
+
+
+# extract(...).to_json_dict() recorded once the tables became exact integers
+# computed from the base array's spectrum. score is the integer peak; snr is
+# float64 over those integers, and floats compare with ==, so any change to
+# the order of the sum of squares shows. The confident result on the
+# unmarked (5,2) carrier is the known confident-wrong defect, and off-grid
+# crops recover the member but not the shifts; both are pinned as they are.
 PINNED_EXTRACTS = {
-    (3, 2, "marked"): {"m": 1, "shifts": [1, 1, 0, 2], "score": 6875.999999999997, "snr": 9.18041262099127, "confident": True},
-    (3, 2, "unmarked"): {"m": 2, "shifts": [1, 0, 0, 0], "score": 772.9999999999998, "snr": 3.1859564727197176, "confident": False},
-    (3, 2, "cropped"): {"m": 1, "shifts": [1, 1, 1, 0], "score": 4327.999999999998, "snr": 5.505062376133786, "confident": True},
-    (5, 2, "marked"): {"m": 2, "shifts": [2, 1, 2, 3], "score": 62279.000000000015, "snr": 25.204921453314306, "confident": True},
-    (5, 2, "unmarked"): {"m": 4, "shifts": [2, 0, 3, 4], "score": 3703.0, "snr": 4.089319310535229, "confident": True},
-    (5, 2, "cropped"): {"m": 2, "shifts": [2, 1, 3, 4], "score": 39270.00000000001, "snr": 15.250772172833608, "confident": True},
-    (7, 2, "marked"): {"m": 6, "shifts": [1, 6, 3, 5], "score": 248973.9999999999, "snr": 49.09417565272259, "confident": True},
-    (7, 2, "unmarked"): {"m": 6, "shifts": [2, 5, 5, 5], "score": 6476.999999999997, "snr": 3.7602082653532145, "confident": False},
-    (7, 2, "cropped"): {"m": 6, "shifts": [1, 6, 4, 6], "score": 183764.0, "snr": 35.3206846729576, "confident": True},
-    (3, 3, "marked"): {"m": 1, "shifts": [1, 0, 2, 2, 0, 2], "score": 74746.99999999996, "snr": 29.48253691345207, "confident": True},
-    (3, 3, "unmarked"): {"m": 1, "shifts": [2, 1, 1, 0, 0, 1], "score": 3452.999999999998, "snr": 3.626729087632864, "confident": False},
-    (3, 3, "cropped"): {"m": 1, "shifts": [1, 0, 2, 2, 1, 0], "score": 36372.99999999998, "snr": 12.792799803448526, "confident": True},
+    (3, 2, "marked"): {"m": 1, "shifts": [1, 1, 0, 2], "score": 6876, "snr": 9.180412620991271, "confident": True},
+    (3, 2, "unmarked"): {"m": 2, "shifts": [1, 0, 0, 0], "score": 773, "snr": 3.185956472719717, "confident": False},
+    (3, 2, "cropped"): {"m": 1, "shifts": [1, 1, 1, 0], "score": 4328, "snr": 5.505062376133786, "confident": True},
+    (5, 2, "marked"): {"m": 2, "shifts": [2, 1, 2, 3], "score": 62279, "snr": 25.204921453314306, "confident": True},
+    (5, 2, "unmarked"): {"m": 4, "shifts": [2, 0, 3, 4], "score": 3703, "snr": 4.08931931053523, "confident": True},
+    (5, 2, "cropped"): {"m": 2, "shifts": [2, 1, 3, 4], "score": 39270, "snr": 15.250772172833608, "confident": True},
+    (7, 2, "marked"): {"m": 6, "shifts": [1, 6, 3, 5], "score": 248974, "snr": 49.09417565272258, "confident": True},
+    (7, 2, "unmarked"): {"m": 6, "shifts": [2, 5, 5, 5], "score": 6477, "snr": 3.760208265353215, "confident": False},
+    (7, 2, "cropped"): {"m": 6, "shifts": [1, 6, 4, 6], "score": 183764, "snr": 35.32068467295758, "confident": True},
+    (3, 3, "marked"): {"m": 1, "shifts": [1, 0, 2, 2, 0, 2], "score": 74747, "snr": 29.48253691345207, "confident": True},
+    (3, 3, "unmarked"): {"m": 1, "shifts": [2, 1, 1, 0, 0, 1], "score": 3453, "snr": 3.6267290876328637, "confident": False},
+    (3, 3, "cropped"): {"m": 1, "shifts": [1, 0, 2, 2, 1, 0], "score": 36373, "snr": 12.792799803448528, "confident": True},
 }
 
 
