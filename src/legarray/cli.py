@@ -99,7 +99,7 @@ def _cmd_corr(args) -> int:
 def _cmd_verify(args) -> int:
     params, base = _legendre_from(args)
     family = build_family(base, params)
-    method = "fast" if args.fast else "naive"
+    method = "fast" if args.fast else "sheared"
     auto = [correlation.verify_autocorrelation(mem, method=method) for mem in family]
     cross = [
         correlation.verify_cross_correlation(family[i], family[j], method=method)

@@ -5,12 +5,23 @@ The periodic cross-correlation of equal-sized arrays A, B at shift s is
     theta(s) = sum over all cells i of A[i] * B[(i + s) mod dims]
 
 (entries are real integers, so the conjugate in the general definition is
-the identity). `full_correlation` evaluates this sum directly in integer
-arithmetic and is the canonical oracle. `exact_tables` is the one FFT
-kernel: it rounds each float table to int64 behind a 2**53 refusal and a
-residual check. `full_correlation_fast` runs it on one pair and must
-reproduce the oracle bit-exactly; `sheared_spectra` feeds it every family
-member's spectrum from one transform of the base array.
+the identity). The `verify_*` functions take one of three kernels:
+
+* "naive": `full_correlation` evaluates this sum directly in integer
+  arithmetic and is the canonical oracle; `corr` and the tests use it.
+* "fast": `full_correlation_fast` runs `exact_tables`, the one FFT kernel,
+  which rounds each float table to int64 behind a 2**53 refusal and a
+  residual check, and must reproduce the oracle bit-exactly.
+  `sheared_spectra` feeds it every family member's spectrum from one
+  transform of the base array.
+* "sheared" (the default): `sheared_correlation` uses the family's shear.
+  Members are S_m(x, y) = A(x) * A(y - m*x) over x, y in Z_p^n, so for any
+  rank-n base A
+
+      theta_{S_m,S_m'}(s, t) = sum_x A(x) A(x+s) theta_A(t - m'*s + (m - m')*x),
+
+  one p^n x p^n int64 matrix product per table, O(p^{3n}) against the
+  oracle's O(p^{4n}), with no floats.
 """
 
 from __future__ import annotations
@@ -68,30 +79,96 @@ def cross_correlation_at(a, b, shift) -> int:
     return int(np.sum(a.values.astype(np.int64) * rolled))
 
 
-def full_correlation(a, b) -> IntArray:
-    """Exact correlation table for every cyclic shift (the oracle path).
-
-    Implemented as a direct sum of integer products: B is tiled once per
-    axis so that every cyclic shift is a contiguous window, and einsum
-    contracts the window view against A in int64. No transforms involved.
-    Refuses inputs whose table could leave the int64 range.
-    """
-    _check_same_dims(a, b)
-    bound = _theta_bound(a, b)
+def _check_int64(bound: int) -> None:
     if bound > np.iinfo(np.int64).max:
         raise ValueError(f"correlation values may reach {bound}, beyond the int64 range")
-    rank = a.rank
-    tiled = np.tile(b.values, (2,) * rank)
-    windows = sliding_window_view(tiled, a.dims)[tuple(slice(0, d) for d in a.dims)]
+
+
+def _correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # B is tiled once per axis so that every cyclic shift is a contiguous
+    # window, and einsum contracts the window view against A in int64.
+    rank = a.ndim
+    tiled = np.tile(b, (2,) * rank)
+    windows = sliding_window_view(tiled, a.shape)[tuple(slice(0, d) for d in a.shape)]
     # windows[s][i] == b[(s + i) mod dims]
-    table = np.einsum(
+    return np.einsum(
         windows,
         list(range(2 * rank)),
-        a.values.astype(np.int64),
+        a.astype(np.int64),
         list(range(rank, 2 * rank)),
         list(range(rank)),
     )
-    return IntArray(table)
+
+
+def full_correlation(a, b) -> IntArray:
+    """Exact correlation table for every cyclic shift (the oracle path).
+
+    Implemented as a direct sum of integer products, with no transforms.
+    Refuses inputs whose table could leave the int64 range.
+    """
+    _check_same_dims(a, b)
+    _check_int64(_theta_bound(a, b))
+    return IntArray(_correlate(a.values, b.values))
+
+
+def _sheared_index(p: int, n: int, k: int) -> tuple[tuple, tuple]:
+    """Index arrays r and (c + k*r) mod p over the 2n axes (r, c) of
+    Z_p^n x Z_p^n. They broadcast, so no p^(2n)-cell index grid is built."""
+    idx = np.ogrid[(slice(0, p),) * (2 * n)]
+    return tuple(idx[:n]), tuple((idx[n + j] + k * idx[j]) % p for j in range(n))
+
+
+def shear(base: np.ndarray, m: int) -> np.ndarray:
+    """S_m(x, y) = A(x) * A(y - m*x) for the rank-n base A of extent p per axis."""
+    _, y_minus_mx = _sheared_index(base.shape[0], base.ndim, -m)
+    return base.reshape(base.shape + (1,) * base.ndim) * base[y_minus_mx]
+
+
+def _sheared_base(values: np.ndarray, m: int) -> np.ndarray | None:
+    """A base B with values == shear(B, m), read from values itself, or None.
+
+    Row x0 of S_m, rolled left by m*x0, is A(x0) * A. The first row with a
+    nonzero entry (row 0 if there is none) is taken; for a ternary A it
+    gives +-A, and the sign cancels in the shear.
+    """
+    n, odd = divmod(values.ndim, 2)
+    p = values.shape[0]
+    if odd or values.shape != (p,) * (2 * n):
+        return None
+    nonzero = np.flatnonzero(values.reshape(p**n, p**n).any(axis=1))
+    x0 = np.unravel_index(nonzero[0] if nonzero.size else 0, (p,) * n)
+    shift = tuple(-m * int(c) for c in x0)
+    base = np.roll(values[x0], shift, axis=tuple(range(n))).astype(np.int64)
+    return base if np.array_equal(shear(base, m), values) else None
+
+
+def sheared_correlation(m1: "FamilyMember", m2: "FamilyMember") -> IntArray:
+    """Exact table theta_{m1.arr, m2.arr} from the family's shear; equals
+    full_correlation(m1.arr, m2.arr).
+
+    Reads the base A from m1's own array and checks entry by entry that the
+    arrays are its shears S_m and S_m' (m = m1.m, m' = m2.m); if not, it
+    returns the oracle's table instead. With W[s, x] = A(x) * A(x+s), the
+    table is theta(s, t + m'*s) = sum_x W[s, x] * theta_A(t + (m - m')*x):
+    one int64 product of p^n x p^n matrices, whose partial sums stay within
+    the bound checked before any work. Refuses, as the oracle does, inputs
+    whose table could leave the int64 range.
+    """
+    a, b = m1.arr, m2.arr
+    _check_same_dims(a, b)
+    _check_int64(_theta_bound(a, b))
+    base = _sheared_base(a.values, m1.m)
+    if base is None or not np.array_equal(shear(base, m2.m), b.values):
+        return full_correlation(a, b)
+    p, n = base.shape[0], base.ndim
+    q = p**n
+    _, x_plus_s = _sheared_index(p, n, 1)  # over axes (s, x)
+    w = base.reshape((1,) * n + base.shape) * base[x_plus_s]
+    _, skewed = _sheared_index(p, n, m1.m - m2.m)  # over axes (x, t)
+    g = _correlate(base, base)[skewed]
+    product = (w.reshape(q, q) @ g.reshape(q, q)).reshape((p,) * (2 * n))
+    s, t_minus_ms = _sheared_index(p, n, -m2.m)  # over axes (s, t)
+    return IntArray(product[s + t_minus_ms])
 
 
 def _round_exact(table: np.ndarray) -> np.ndarray:
@@ -162,7 +239,14 @@ def full_correlation_fast(a, b) -> IntArray:
     return IntArray(table)
 
 
+# The array kernels by method name; "sheared" takes the members instead.
 _METHODS = {"naive": full_correlation, "fast": full_correlation_fast}
+
+
+def _member_table(m1: "FamilyMember", m2: "FamilyMember", method: str) -> np.ndarray:
+    if method == "sheared":
+        return sheared_correlation(m1, m2).values
+    return _METHODS[method](m1.arr, m2.arr).values
 
 
 class PeakShifts(Sequence):
@@ -276,7 +360,7 @@ def _bound_report(table, mode, members, bound, expected_values):
     )
 
 
-def verify_autocorrelation(member: "FamilyMember", method: str = "naive") -> CorrelationReport:
+def verify_autocorrelation(member: "FamilyMember", method: str = "sheared") -> CorrelationReport:
     """Check a family member's off-peak |theta| against the bound p^n - 1.
 
     Also records whether the observed off-peak value set is exactly
@@ -285,13 +369,13 @@ def verify_autocorrelation(member: "FamilyMember", method: str = "naive") -> Cor
     if member.params.a != 0:
         raise ValueError("autocorrelation bound requires origin value a = 0")
     p, n = member.params.p, member.params.n
-    table = _METHODS[method](member.arr, member.arr).values
+    table = _member_table(member, member, method)
     q = p**n
     return _bound_report(table, "auto", (member.m,), q - 1, {1, 1 - q})
 
 
 def verify_cross_correlation(
-    m1: "FamilyMember", m2: "FamilyMember", method: str = "naive"
+    m1: "FamilyMember", m2: "FamilyMember", method: str = "sheared"
 ) -> CorrelationReport:
     """Check |theta| of two distinct members against the bound p^n + 1.
 
@@ -304,7 +388,7 @@ def verify_cross_correlation(
     if m1.params.a != 0:
         raise ValueError("cross-correlation bound requires origin value a = 0")
     p, n = m1.params.p, m1.params.n
-    table = _METHODS[method](m1.arr, m2.arr).values
+    table = _member_table(m1, m2, method)
     q = p**n
     return _bound_report(table, "cross", (m1.m, m2.m), q + 1, {1 - q, 1, q + 1})
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import MAX_RANK, IntArray, TernaryArray
-from .correlation import full_correlation
+from .correlation import full_correlation, shear
 from .legendre import LegendreParams
 
 
@@ -77,16 +77,10 @@ def build_member(arr: TernaryArray, m: int, params: LegendreParams) -> FamilyMem
     """Construct member m from the rank-n base array."""
     params = params.resolve()
     _check_base(arr, params)
-    p, n = params.p, params.n
+    p = params.p
     if not 0 <= m < p:
         raise ValueError(f"member index must be in [0, {p}), got {m}")
-    a = arr.values
-    # idx[j] is arange(p) along axis j of 2n; the indices broadcast, so no
-    # p^(2n)-cell index grid is built.
-    idx = np.ogrid[(slice(0, p),) * (2 * n)]
-    first = a.reshape(a.shape + (1,) * n)
-    second = a[tuple((idx[n + k] - m * idx[k]) % p for k in range(n))]
-    return FamilyMember(m=m, arr=TernaryArray(first * second), params=params)
+    return FamilyMember(m=m, arr=TernaryArray(shear(arr.values, m)), params=params)
 
 
 def build_family(arr: TernaryArray, params: LegendreParams) -> ArrayFamily:

@@ -202,8 +202,12 @@ class TestVerify:
         assert json.loads(out)["poly"] == "2,1,1"
 
     def test_fast_matches_naive(self, capsys):
+        # the default kernel is the exact sheared one, no longer the oracle;
+        # it and the FFT path must print the same report byte for byte
         for args in (("--p", "3", "--n", "2"), ("--p", "5", "--n", "2"),
-                     ("--p", "5", "--n", "2", "--full")):
+                     ("--p", "5", "--n", "2", "--full"), ("--p", "7", "--n", "2"),
+                     ("--p", "7", "--n", "2", "--full"), ("--p", "3", "--n", "4"),
+                     ("--p", "3", "--n", "4", "--full")):
             _, out1, _ = run(capsys, "verify", *args)
             _, out2, _ = run(capsys, "verify", *args, "--fast")
             assert out1 == out2, args

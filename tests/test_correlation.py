@@ -1,11 +1,17 @@
+import contextlib
+import functools
 import itertools
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from legarray import correlation
 from legarray.arrays import IntArray, TernaryArray
 from legarray.correlation import (
     FAST_SIZE_LIMIT,
@@ -16,12 +22,14 @@ from legarray.correlation import (
     exact_tables,
     full_correlation,
     full_correlation_fast,
+    shear,
+    sheared_correlation,
     verify_autocorrelation,
     verify_cross_correlation,
     welch_metrics,
 )
 from legarray.legendre import LegendreParams, legendre_array
-from legarray.family import build_family
+from legarray.family import FamilyMember, build_family, build_member
 
 from reference_data import THETA_S1, THETA_S1_S2, THETA_S2
 
@@ -225,7 +233,7 @@ class TestBoundReports:
             abs(THETA_S1_S2[s]) == 10 for s in r.peak_shifts
         )
 
-    @pytest.mark.parametrize("method", ["naive", "fast"])
+    @pytest.mark.parametrize("method", ["naive", "fast", "sheared"])
     def test_reference_peak_shifts_exact(self, family_3_2, method):
         # every shift attaining max |theta|, in C order; auto excludes the origin
         auto_abs = np.abs(THETA_S1.astype(np.int64))
@@ -298,6 +306,119 @@ class TestBoundReports:
             verify_autocorrelation(bad_member)
         with pytest.raises(ValueError):
             verify_cross_correlation(family_3_2[1], bad_member)
+
+
+@contextlib.contextmanager
+def oracle_refused():
+    """Fail any call of the oracle made from inside correlation.py, so that
+    a sheared table cannot be the fallback's."""
+
+    def refuse(a, b):
+        raise AssertionError("the sheared kernel fell back to the oracle")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(correlation, "full_correlation", refuse)
+        yield
+
+
+@functools.cache
+def resolved(p, n):
+    return LegendreParams(p=p, n=n).resolve()
+
+
+@st.composite
+def sheared_pairs(draw):
+    """A random ternary base (not a Legendre array) and two member indices."""
+    p, n = draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]))
+    cells = draw(st.lists(st.integers(-1, 1), min_size=p**n, max_size=p**n))
+    m1, m2 = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    return TernaryArray(np.array(cells).reshape((p,) * n)), resolved(p, n), m1, m2
+
+
+SHEARED_GRID = [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3)]
+
+
+class TestShearedKernel:
+    @pytest.mark.parametrize("p,n", SHEARED_GRID)
+    def test_equals_oracle_on_every_ordered_pair(self, p, n):
+        family = family_for(p, n)
+        with oracle_refused():
+            for x, y in itertools.product(family, repeat=2):
+                table = sheared_correlation(x, y).values
+                assert table.dtype == np.int64
+                assert np.array_equal(table, full_correlation(x.arr, y.arr).values), (x.m, y.m)
+
+    @given(sheared_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_shear_identity_holds_for_any_base(self, case):
+        # the kernel uses only S_m(x, y) = A(x) A(y - m x), not the Legendre
+        # property: random bases, origin included, give the oracle's table
+        base, params, m1, m2 = case
+        x, y = build_member(base, m1, params), build_member(base, m2, params)
+        with oracle_refused():
+            table = sheared_correlation(x, y).values
+        assert np.array_equal(table, full_correlation(x.arr, y.arr).values)
+
+    @pytest.mark.parametrize("p,n", SHEARED_GRID + [(11, 2), (13, 2), (3, 4)])
+    def test_tables_equal_the_closed_forms(self, p, n):
+        # With a = 0, theta_A = lambda: q - 1 at shift 0 and -1 elsewhere.
+        # Auto: lambda(s) lambda(t - m s). Cross, m != m':
+        # q A(x*) A(x* + s) - lambda(s) with x* = (m' s - t) / (m - m') mod p.
+        q = p**n
+        params = resolved(p, n)
+        a = legendre_array(params).values.astype(np.int64)
+        family = build_family(legendre_array(params), params)
+        lam = np.full((p,) * n, -1)
+        lam[(0,) * n] = q - 1
+        idx = np.ogrid[(slice(0, p),) * (2 * n)]
+        s, t = idx[:n], idx[n:]
+        with oracle_refused():
+            for m, m2 in itertools.product(range(p), repeat=2):
+                if m == m2:
+                    expected = lam[tuple(s)] * lam[tuple((tk - m * sk) % p for sk, tk in zip(s, t))]
+                else:
+                    inv = pow(m - m2, -1, p)
+                    x = tuple((m2 * sk - tk) * inv % p for sk, tk in zip(s, t))
+                    shifted = tuple((xk + sk) % p for xk, sk in zip(x, s))
+                    expected = q * a[x] * a[shifted] - lam[tuple(s)]
+                table = sheared_correlation(family[m], family[m2]).values
+                assert np.array_equal(table, expected), (m, m2)
+
+    def test_altered_member_gets_the_oracle_report(self, family_5_2):
+        member, other = family_5_2[2], family_5_2[3]
+        rows = member.arr.values.reshape(25, 25)
+        # row 1 is the first nonzero row, where the base is read from
+        for cell in [(1, 0), (1, 7), (4, 9), (24, 24)]:
+            values = rows.copy()
+            values[cell] = -values[cell] if values[cell] else 1
+            altered = TernaryArray(values.reshape(member.arr.dims))
+            bad = FamilyMember(member.m, altered, member.params)
+            auto = verify_autocorrelation(bad)
+            assert auto == verify_autocorrelation(bad, method="naive")
+            assert auto != verify_autocorrelation(member)
+            for x, y, intact in [(bad, other, (member, other)), (other, bad, (other, member))]:
+                cross = verify_cross_correlation(x, y)
+                assert cross == verify_cross_correlation(x, y, method="naive")
+                assert cross != verify_cross_correlation(*intact)
+
+    def test_refuses_tables_beyond_int64_like_the_oracle(self):
+        # base [0, 1, c]: sum|S_m| * max|S_m| = ((1 + c) * c)**2 for every m
+        top = math.isqrt(np.iinfo(np.int64).max)
+        c = (math.isqrt(4 * top + 1) - 1) // 2  # the largest c with c * (c + 1) <= top
+        params = resolved(3, 1)
+
+        def members(c):
+            base = np.array([0, 1, c], dtype=np.int64)
+            return [FamilyMember(m, IntArray(shear(base, m)), params) for m in range(3)]
+
+        with oracle_refused():
+            for x, y in itertools.product(members(c), repeat=2):
+                assert sheared_correlation(x, y) == full_correlation(x.arr, y.arr)
+        for x, y in itertools.product(members(c + 1), repeat=2):
+            with pytest.raises(ValueError, match="beyond the int64 range"):
+                full_correlation(x.arr, y.arr)
+            with pytest.raises(ValueError, match="beyond the int64 range"):
+                sheared_correlation(x, y)
 
 
 class TestWelchMetrics:
