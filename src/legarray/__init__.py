@@ -12,6 +12,7 @@ from .correlation import (
     full_correlation_fast,
     verify_autocorrelation,
     verify_cross_correlation,
+    verify_family,
     welch_metrics,
 )
 from .family import (
@@ -95,6 +96,7 @@ __all__ = [
     "unflatten",
     "verify_autocorrelation",
     "verify_cross_correlation",
+    "verify_family",
     "verify_flat_autocorrelation",
     "welch_metrics",
     "write_pgm",

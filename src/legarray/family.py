@@ -43,11 +43,11 @@ class FamilyMember:
 @dataclass(frozen=True)
 class ArrayFamily:
     """The p members in index order, with the rank-n base array A they were
-    built from (None when the family was assembled from members alone)."""
+    built from."""
 
     members: tuple[FamilyMember, ...]
     params: LegendreParams = field(compare=False)
-    base: TernaryArray | None = field(default=None, compare=False)
+    base: TernaryArray = field(compare=False)
 
     def __post_init__(self):
         if len(self.members) != self.params.p:

@@ -176,8 +176,6 @@ def embed(
 def _member_tables(period: np.ndarray, family: ArrayFamily) -> Iterator[np.ndarray]:
     """Exact correlation table of the rank-2n `period` against each member,
     in family order: p + 1 transforms of the period's size in all."""
-    if family.base is None:
-        raise ValueError("extraction requires the family's base array")
     spectra = sheared_spectra(family.base.values, (member.m for member in family))
     # members are ternary, so no |theta| exceeds sum|period|
     return exact_tables(period, spectra, bound=int(np.abs(period).sum()))

@@ -98,7 +98,7 @@ options:
   --poly POLY  primitive polynomial, comma-separated coefficients constant
                term first (e.g. 2,4,1 = x^2+4x+2); defaults to the smallest
                one
-  --fast       use the FFT path
+  --fast       selects nothing; verify always runs the exact family kernel
   --full       list every shift attaining max |theta| in each report (default:
                the first 8 and their count)
   --out OUT    also write the JSON report here

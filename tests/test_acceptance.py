@@ -29,6 +29,7 @@ from legarray import (
     unflatten,
     verify_autocorrelation,
     verify_cross_correlation,
+    verify_family,
     welch_metrics,
 )
 from legarray.arrays import deserialize
@@ -144,47 +145,48 @@ def test_criterion_05_flatten_golden():
 
 
 def test_criterion_06_autocorrelation_bound_exhaustive():
+    naive = []
     with Budget(60.0) as naive_budget:
         for p, n in BOUND_GRID:
             q = p**n
             for member in family_for(p, n):
-                rep = verify_autocorrelation(member, method="naive")
+                rep = verify_autocorrelation(member)
                 assert rep.passed, (p, n, member.m)
                 assert rep.off_peak_max_abs <= q - 1
                 assert rep.peak_value == (q - 1) ** 2
-    with Budget(5.0) as fast_budget:
-        for p, n in BOUND_GRID:
-            for member in family_for(p, n):
-                assert verify_autocorrelation(member, method="fast").passed
+                naive.append(rep)
+    with Budget(5.0) as family_budget:
+        family_reports = [verify_family(family_for(p, n))[0] for p, n in BOUND_GRID]
+    assert [rep for reps in family_reports for rep in reps] == naive
     report(
         6,
         f"off-peak |theta| <= p^n-1 for {BOUND_GRID}, peak (p^n-1)^2 "
-        f"(naive {naive_budget.elapsed:.2f}s, fast {fast_budget.elapsed:.2f}s)",
+        f"(naive {naive_budget.elapsed:.2f}s, family {family_budget.elapsed:.2f}s)",
     )
 
 
 def test_criterion_07_cross_correlation_bound_exhaustive():
     attained_at_3_2 = False
+    naive = []
     with Budget(60.0) as naive_budget:
         for p, n in BOUND_GRID:
             q = p**n
             family = family_for(p, n)
             for i, j in itertools.combinations(range(p), 2):
-                rep = verify_cross_correlation(family[i], family[j], method="naive")
+                rep = verify_cross_correlation(family[i], family[j])
                 assert rep.passed, (p, n, i, j)
                 assert rep.off_peak_max_abs <= q + 1
                 if (p, n) == (3, 2) and rep.off_peak_max_abs == 10:
                     attained_at_3_2 = True
+                naive.append(rep)
     assert attained_at_3_2, "bound p^n+1 = 10 must be attained at (3,2)"
-    with Budget(5.0) as fast_budget:
-        for p, n in BOUND_GRID:
-            family = family_for(p, n)
-            for i, j in itertools.combinations(range(p), 2):
-                assert verify_cross_correlation(family[i], family[j], method="fast").passed
+    with Budget(5.0) as family_budget:
+        family_reports = [verify_family(family_for(p, n))[1] for p, n in BOUND_GRID]
+    assert [rep for reps in family_reports for rep in reps] == naive
     report(
         7,
         f"pairwise |theta| <= p^n+1 for {BOUND_GRID}, bound attained at (3,2) "
-        f"(naive {naive_budget.elapsed:.2f}s, fast {fast_budget.elapsed:.2f}s)",
+        f"(naive {naive_budget.elapsed:.2f}s, family {family_budget.elapsed:.2f}s)",
     )
 
 

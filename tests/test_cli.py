@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import time
@@ -202,8 +203,8 @@ class TestVerify:
         assert json.loads(out)["poly"] == "2,1,1"
 
     def test_fast_matches_naive(self, capsys):
-        # the default kernel is the exact sheared one, no longer the oracle;
-        # it and the FFT path must print the same report byte for byte
+        # --fast selects nothing: both run the exact family kernel and must
+        # print the same report byte for byte
         for args in (("--p", "3", "--n", "2"), ("--p", "5", "--n", "2"),
                      ("--p", "5", "--n", "2", "--full"), ("--p", "7", "--n", "2"),
                      ("--p", "7", "--n", "2", "--full"), ("--p", "3", "--n", "4"),
@@ -252,13 +253,13 @@ class TestVerify:
     def test_failed_check_exits_2(self, capsys, monkeypatch):
         import legarray.cli as cli_mod
 
-        real_verify = correlation.verify_autocorrelation
+        real_verify = correlation.verify_family
 
-        def fake_verify(member, method="naive"):
-            report = real_verify(member, method=method)
-            return correlation.CorrelationReport(**{**report.__dict__, "passed": False})
+        def fake_verify(family):
+            auto, cross = real_verify(family)
+            return [dataclasses.replace(r, passed=False) for r in auto], cross
 
-        monkeypatch.setattr(cli_mod.correlation, "verify_autocorrelation", fake_verify)
+        monkeypatch.setattr(cli_mod.correlation, "verify_family", fake_verify)
         for full in ((), ("--full",)):
             code, out, _ = run(capsys, "verify", "--p", "3", "--n", "2", *full)
             assert code == 2

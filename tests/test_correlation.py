@@ -23,13 +23,14 @@ from legarray.correlation import (
     full_correlation,
     full_correlation_fast,
     shear,
-    sheared_correlation,
+    sheared_tables,
     verify_autocorrelation,
     verify_cross_correlation,
+    verify_family,
     welch_metrics,
 )
 from legarray.legendre import LegendreParams, legendre_array
-from legarray.family import FamilyMember, build_family, build_member
+from legarray.family import ArrayFamily, FamilyMember, build_family, build_member
 
 from reference_data import THETA_S1, THETA_S1_S2, THETA_S2
 
@@ -233,16 +234,20 @@ class TestBoundReports:
             abs(THETA_S1_S2[s]) == 10 for s in r.peak_shifts
         )
 
-    @pytest.mark.parametrize("method", ["naive", "fast", "sheared"])
-    def test_reference_peak_shifts_exact(self, family_3_2, method):
+    @pytest.mark.parametrize("kernel", ["naive", "sheared"])
+    def test_reference_peak_shifts_exact(self, family_3_2, kernel):
         # every shift attaining max |theta|, in C order; auto excludes the origin
         auto_abs = np.abs(THETA_S1.astype(np.int64))
         auto_abs[0, 0, 0, 0] = -1
         expected_auto = [tuple(s) for s in np.argwhere(auto_abs == auto_abs.max())]
         cross_abs = np.abs(THETA_S1_S2.astype(np.int64))
         expected_cross = [tuple(s) for s in np.argwhere(cross_abs == cross_abs.max())]
-        auto = verify_autocorrelation(family_3_2[1], method=method)
-        cross = verify_cross_correlation(family_3_2[1], family_3_2[2], method=method)
+        if kernel == "naive":
+            auto = verify_autocorrelation(family_3_2[1])
+            cross = verify_cross_correlation(family_3_2[1], family_3_2[2])
+        else:
+            autos, crosses = verify_family(family_3_2)
+            auto, cross = autos[1], crosses[2]  # pairs (0, 1), (0, 2), (1, 2)
         assert auto.peak_shifts == tuple(expected_auto)
         assert cross.peak_shifts == tuple(expected_cross)
         assert (len(expected_auto), len(expected_cross)) == (16, 24)
@@ -293,9 +298,9 @@ class TestBoundReports:
         assert cross.to_json_dict(max_shifts=100) == full
 
     def test_fast_method_gives_same_report(self, family_3_2):
-        naive = verify_autocorrelation(family_3_2[1], method="naive")
-        fast = verify_autocorrelation(family_3_2[1], method="fast")
-        assert naive == fast
+        auto, cross = verify_family(family_3_2)
+        assert auto[1] == verify_autocorrelation(family_3_2[1])
+        assert cross[2] == verify_cross_correlation(family_3_2[1], family_3_2[2])
 
     def test_validation(self, family_3_2):
         with pytest.raises(ValueError):
@@ -306,15 +311,18 @@ class TestBoundReports:
             verify_autocorrelation(bad_member)
         with pytest.raises(ValueError):
             verify_cross_correlation(family_3_2[1], bad_member)
+        bad_family = build_family(legendre_array(bad_params), bad_params)
+        with pytest.raises(ValueError, match="autocorrelation bound requires origin value a = 0"):
+            verify_family(bad_family)
 
 
 @contextlib.contextmanager
 def oracle_refused():
     """Fail any call of the oracle made from inside correlation.py, so that
-    a sheared table cannot be the fallback's."""
+    a table under test cannot be the oracle's."""
 
     def refuse(a, b):
-        raise AssertionError("the sheared kernel fell back to the oracle")
+        raise AssertionError("the sheared kernel called the oracle")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(correlation, "full_correlation", refuse)
@@ -342,9 +350,10 @@ class TestShearedKernel:
     @pytest.mark.parametrize("p,n", SHEARED_GRID)
     def test_equals_oracle_on_every_ordered_pair(self, p, n):
         family = family_for(p, n)
+        pairs = list(itertools.product(family, repeat=2))
         with oracle_refused():
-            for x, y in itertools.product(family, repeat=2):
-                table = sheared_correlation(x, y).values
+            tables = sheared_tables(family.base.values, [(x.m, y.m) for x, y in pairs])
+            for (x, y), table in zip(pairs, tables, strict=True):
                 assert table.dtype == np.int64
                 assert np.array_equal(table, full_correlation(x.arr, y.arr).values), (x.m, y.m)
 
@@ -356,7 +365,7 @@ class TestShearedKernel:
         base, params, m1, m2 = case
         x, y = build_member(base, m1, params), build_member(base, m2, params)
         with oracle_refused():
-            table = sheared_correlation(x, y).values
+            (table,) = sheared_tables(base.values, [(m1, m2)])
         assert np.array_equal(table, full_correlation(x.arr, y.arr).values)
 
     @pytest.mark.parametrize("p,n", SHEARED_GRID + [(11, 2), (13, 2), (3, 4)])
@@ -365,15 +374,14 @@ class TestShearedKernel:
         # Auto: lambda(s) lambda(t - m s). Cross, m != m':
         # q A(x*) A(x* + s) - lambda(s) with x* = (m' s - t) / (m - m') mod p.
         q = p**n
-        params = resolved(p, n)
-        a = legendre_array(params).values.astype(np.int64)
-        family = build_family(legendre_array(params), params)
+        a = legendre_array(resolved(p, n)).values.astype(np.int64)
         lam = np.full((p,) * n, -1)
         lam[(0,) * n] = q - 1
         idx = np.ogrid[(slice(0, p),) * (2 * n)]
         s, t = idx[:n], idx[n:]
+        pairs = list(itertools.product(range(p), repeat=2))
         with oracle_refused():
-            for m, m2 in itertools.product(range(p), repeat=2):
+            for (m, m2), table in zip(pairs, sheared_tables(a, pairs), strict=True):
                 if m == m2:
                     expected = lam[tuple(s)] * lam[tuple((tk - m * sk) % p for sk, tk in zip(s, t))]
                 else:
@@ -381,44 +389,51 @@ class TestShearedKernel:
                     x = tuple((m2 * sk - tk) * inv % p for sk, tk in zip(s, t))
                     shifted = tuple((xk + sk) % p for xk, sk in zip(x, s))
                     expected = q * a[x] * a[shifted] - lam[tuple(s)]
-                table = sheared_correlation(family[m], family[m2]).values
                 assert np.array_equal(table, expected), (m, m2)
-
-    def test_altered_member_gets_the_oracle_report(self, family_5_2):
-        member, other = family_5_2[2], family_5_2[3]
-        rows = member.arr.values.reshape(25, 25)
-        # row 1 is the first nonzero row, where the base is read from
-        for cell in [(1, 0), (1, 7), (4, 9), (24, 24)]:
-            values = rows.copy()
-            values[cell] = -values[cell] if values[cell] else 1
-            altered = TernaryArray(values.reshape(member.arr.dims))
-            bad = FamilyMember(member.m, altered, member.params)
-            auto = verify_autocorrelation(bad)
-            assert auto == verify_autocorrelation(bad, method="naive")
-            assert auto != verify_autocorrelation(member)
-            for x, y, intact in [(bad, other, (member, other)), (other, bad, (other, member))]:
-                cross = verify_cross_correlation(x, y)
-                assert cross == verify_cross_correlation(x, y, method="naive")
-                assert cross != verify_cross_correlation(*intact)
 
     def test_refuses_tables_beyond_int64_like_the_oracle(self):
         # base [0, 1, c]: sum|S_m| * max|S_m| = ((1 + c) * c)**2 for every m
         top = math.isqrt(np.iinfo(np.int64).max)
         c = (math.isqrt(4 * top + 1) - 1) // 2  # the largest c with c * (c + 1) <= top
-        params = resolved(3, 1)
+        pairs = list(itertools.product(range(3), repeat=2))
 
-        def members(c):
+        def base_and_members(c):
             base = np.array([0, 1, c], dtype=np.int64)
-            return [FamilyMember(m, IntArray(shear(base, m)), params) for m in range(3)]
+            return base, [IntArray(shear(base, m)) for m in range(3)]
 
+        base, members = base_and_members(c)
         with oracle_refused():
-            for x, y in itertools.product(members(c), repeat=2):
-                assert sheared_correlation(x, y) == full_correlation(x.arr, y.arr)
-        for x, y in itertools.product(members(c + 1), repeat=2):
+            for (m, m2), table in zip(pairs, sheared_tables(base, pairs), strict=True):
+                assert np.array_equal(table, full_correlation(members[m], members[m2]).values)
+        base, members = base_and_members(c + 1)
+        for m, m2 in pairs:
             with pytest.raises(ValueError, match="beyond the int64 range"):
-                full_correlation(x.arr, y.arr)
-            with pytest.raises(ValueError, match="beyond the int64 range"):
-                sheared_correlation(x, y)
+                full_correlation(members[m], members[m2])
+        # refused when called, before any table is read
+        with pytest.raises(ValueError, match="beyond the int64 range"):
+            sheared_tables(base, pairs)
+
+    @pytest.mark.parametrize("p,n", BOUND_GRID + [(5, 2), (7, 2)])
+    def test_verify_family_equals_the_oracle_reports(self, p, n):
+        family = family_for(p, n)
+        with oracle_refused():
+            auto, cross = verify_family(family)
+        assert auto == [verify_autocorrelation(member) for member in family]
+        pairs = itertools.combinations(family, 2)
+        assert cross == [verify_cross_correlation(x, y) for x, y in pairs]
+
+    def test_family_with_an_altered_member_refused(self, family_5_2):
+        member = family_5_2[2]
+        rows = member.arr.values.reshape(25, 25)
+        for cell in [(1, 0), (1, 7), (4, 9), (24, 24)]:
+            values = rows.copy()
+            values[cell] = -values[cell] if values[cell] else 1
+            altered = TernaryArray(values.reshape(member.arr.dims))
+            members = list(family_5_2.members)
+            members[2] = FamilyMember(member.m, altered, member.params)
+            family = ArrayFamily(tuple(members), family_5_2.params, family_5_2.base)
+            with pytest.raises(ValueError, match="member 2 is not the shear S_2"):
+                verify_family(family)
 
 
 class TestWelchMetrics:

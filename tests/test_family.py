@@ -113,7 +113,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             build_member(wrong, 1, params_3_2)
         with pytest.raises(ValueError):
-            ArrayFamily(members=tuple(build_family(base, params_3_2))[:2], params=params_3_2)
+            ArrayFamily(
+                members=tuple(build_family(base, params_3_2))[:2], params=params_3_2, base=base
+            )
 
 
 class TestIsPerfect:

@@ -14,7 +14,7 @@ from legarray.correlation import (
 )
 from legarray.images import GrayImage
 from legarray.legendre import LegendreParams, legendre_array
-from legarray.family import ArrayFamily, build_family
+from legarray.family import build_family
 from legarray.watermark import (
     EmbedConfig,
     Payload,
@@ -271,12 +271,6 @@ class TestExtract:
         params = LegendreParams(p=3, n=2, a=1).resolve()
         family = build_family(legendre_array(params), params)
         with pytest.raises(ValueError, match=r"origin value a = 0"):
-            extract(flat_gray(27), family)
-
-    def test_family_without_base_refused(self, family_3_2):
-        family = ArrayFamily(members=family_3_2.members, params=family_3_2.params)
-        assert family == family_3_2
-        with pytest.raises(ValueError, match="base array"):
             extract(flat_gray(27), family)
 
     def test_residual_guard(self, family_3_2, monkeypatch):
