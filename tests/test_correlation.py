@@ -234,7 +234,7 @@ class TestBoundReports:
             abs(THETA_S1_S2[s]) == 10 for s in r.peak_shifts
         )
 
-    @pytest.mark.parametrize("kernel", ["naive", "sheared"])
+    @pytest.mark.parametrize("kernel", ["naive", "fast", "sheared"])
     def test_reference_peak_shifts_exact(self, family_3_2, kernel):
         # every shift attaining max |theta|, in C order; auto excludes the origin
         auto_abs = np.abs(THETA_S1.astype(np.int64))
@@ -245,6 +245,13 @@ class TestBoundReports:
         if kernel == "naive":
             auto = verify_autocorrelation(family_3_2[1])
             cross = verify_cross_correlation(family_3_2[1], family_3_2[2])
+        elif kernel == "fast":
+            # the FFT pair kernel of `corr --fast`, read by the reports' builder
+            m1, m2 = family_3_2[1], family_3_2[2]
+            auto = correlation._bound_report(full_correlation_fast(m1.arr, m1.arr).values, m1)
+            cross = correlation._bound_report(
+                full_correlation_fast(m1.arr, m2.arr).values, m1, m2
+            )
         else:
             autos, crosses = verify_family(family_3_2)
             auto, cross = autos[1], crosses[2]  # pairs (0, 1), (0, 2), (1, 2)
