@@ -242,7 +242,8 @@ def build_parser() -> _Parser:
         "--snr-threshold",
         type=float,
         default=watermark.DEFAULT_SNR_THRESHOLD,
-        help="confidence threshold on peak/off-peak RMS (default 4.0)",
+        help="confidence threshold on peak/off-peak RMS "
+        f"(default {watermark.DEFAULT_SNR_THRESHOLD})",
     )
     s.set_defaults(fn=_cmd_extract)
 

@@ -38,6 +38,7 @@ from .fields import _check_odd_prime
 
 if TYPE_CHECKING:
     from .family import ArrayFamily, FamilyMember
+    from .legendre import LegendreParams
 
 FAST_SIZE_LIMIT = 1 << 24
 # Entries are integers, so any transform residual beyond this signals real
@@ -74,6 +75,7 @@ def cross_correlation_at(a, b, shift) -> int:
     shift = tuple(int(s) for s in shift)
     if len(shift) != a.rank:
         raise ValueError(f"shift rank {len(shift)} != array rank {a.rank}")
+    _check_int64(_theta_bound(a.values, b.values))
     rolled = np.roll(b.values, tuple(-s for s in shift), axis=tuple(range(a.rank)))
     return int(np.sum(a.values.astype(np.int64) * rolled))
 
@@ -308,11 +310,11 @@ class CorrelationReport:
         }
 
 
-def _bound_report(table: np.ndarray, *members: "FamilyMember") -> CorrelationReport:
-    # One member (auto) bounds every shift but the zero shift, flat index 0
-    # in C order, by p^n - 1; two members (cross) bound every shift by p^n + 1.
-    q = members[0].params.p ** members[0].params.n
-    auto = len(members) == 1
+def _bound_report(table: np.ndarray, q: int, *ms: int) -> CorrelationReport:
+    # One member index (auto) bounds every shift but the zero shift, flat
+    # index 0 in C order, by q - 1; two (cross) bound every shift by q + 1,
+    # where q = p^n is the field size.
+    auto = len(ms) == 1
     bound = q - 1 if auto else q + 1
     flat = table.reshape(-1)
     start = 1 if auto else 0
@@ -325,7 +327,7 @@ def _bound_report(table: np.ndarray, *members: "FamilyMember") -> CorrelationRep
     observed = set(histogram)
     return CorrelationReport(
         mode="auto" if auto else "cross",
-        members=tuple(member.m for member in members),
+        members=ms,
         bound=bound,
         peak_value=int(flat[0]),
         off_peak_max_abs=max_abs,
@@ -336,8 +338,8 @@ def _bound_report(table: np.ndarray, *members: "FamilyMember") -> CorrelationRep
     )
 
 
-def _check_auto(member: "FamilyMember") -> None:
-    if member.params.a != 0:
+def _check_auto(params: "LegendreParams") -> None:
+    if params.a != 0:
         raise ValueError("autocorrelation bound requires origin value a = 0")
 
 
@@ -357,8 +359,9 @@ def verify_autocorrelation(member: "FamilyMember") -> CorrelationReport:
     Also records whether the observed off-peak value set is exactly
     {1, 1 - p^n}, the value set the bound's derivation produces.
     """
-    _check_auto(member)
-    return _bound_report(full_correlation(member.arr, member.arr).values, member)
+    _check_auto(member.params)
+    q = member.params.p ** member.params.n
+    return _bound_report(full_correlation(member.arr, member.arr).values, q, member.m)
 
 
 def verify_cross_correlation(m1: "FamilyMember", m2: "FamilyMember") -> CorrelationReport:
@@ -368,7 +371,8 @@ def verify_cross_correlation(m1: "FamilyMember", m2: "FamilyMember") -> Correlat
     Records whether the observed values stay within {1 - p^n, 1, p^n + 1}.
     """
     _check_cross(m1, m2)
-    return _bound_report(full_correlation(m1.arr, m2.arr).values, m1, m2)
+    q = m1.params.p ** m1.params.n
+    return _bound_report(full_correlation(m1.arr, m2.arr).values, q, m1.m, m2.m)
 
 
 def verify_family(
@@ -376,22 +380,17 @@ def verify_family(
 ) -> tuple[list[CorrelationReport], list[CorrelationReport]]:
     """The auto report of every member and the cross report of every pair
     i < j, in family order, equal to verify_autocorrelation's and
-    verify_cross_correlation's but from `sheared_tables` on the family's
-    base. Refuses what those refuse, and members that are not the base's
-    shears, before any table is made.
+    verify_cross_correlation's on the members, but from `sheared_tables` on
+    the family's base: no member is built. Refuses origin value a != 0, as
+    those do, before any table is made.
     """
-    members = family.members
-    pairs = list(itertools.combinations(members, 2))
-    base = family.base.values
-    for member in members:
-        _check_auto(member)
-        if not np.array_equal(member.arr.values, shear(base, member.m)):
-            raise ValueError(f"member {member.m} is not the shear S_{member.m} of the base array")
-    for m1, m2 in pairs:
-        _check_cross(m1, m2)
-    tables = sheared_tables(base, [(x.m, x.m) for x in members] + [(x.m, y.m) for x, y in pairs])
-    auto = [_bound_report(next(tables), member) for member in members]
-    cross = [_bound_report(next(tables), m1, m2) for m1, m2 in pairs]
+    _check_auto(family.params)
+    ms = range(len(family))
+    pairs = list(itertools.combinations(ms, 2))
+    q = family.params.p ** family.params.n
+    tables = sheared_tables(family.base.values, [(m, m) for m in ms] + pairs)
+    auto = [_bound_report(next(tables), q, m) for m in ms]
+    cross = [_bound_report(next(tables), q, m1, m2) for m1, m2 in pairs]
     return auto, cross
 
 

@@ -9,11 +9,15 @@ linearly sheared copy of itself:
 for 0 <= m < p. The sign of the shear fixes the member labeling; the
 golden fixtures in the test suite pin this choice (flipping it relabels
 member m as p - m and leaves the family, as a set, unchanged).
+
+A family is therefore its base array: `ArrayFamily` holds only A and the
+parameters, and builds a member of p^(2n) cells each time one is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,25 +46,23 @@ class FamilyMember:
 
 @dataclass(frozen=True)
 class ArrayFamily:
-    """The p members in index order, with the rank-n base array A they were
-    built from."""
+    """The p members of the rank-n base array A, in index order. Member m is
+    built from A when it is read; indexing follows tuple rules."""
 
-    members: tuple[FamilyMember, ...]
-    params: LegendreParams = field(compare=False)
-    base: TernaryArray = field(compare=False)
+    base: TernaryArray
+    params: LegendreParams
 
     def __post_init__(self):
-        if len(self.members) != self.params.p:
-            raise ValueError(f"expected {self.params.p} members, got {len(self.members)}")
+        _check_base(self.base, self.params)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.params.p
 
-    def __iter__(self):
-        return iter(self.members)
+    def __iter__(self) -> Iterator[FamilyMember]:
+        return (self[m] for m in range(len(self)))
 
     def __getitem__(self, m: int) -> FamilyMember:
-        return self.members[m]
+        return build_member(self.base, range(len(self))[m], self.params)
 
 
 def _check_base(arr: TernaryArray, params: LegendreParams):
@@ -84,14 +86,8 @@ def build_member(arr: TernaryArray, m: int, params: LegendreParams) -> FamilyMem
 
 
 def build_family(arr: TernaryArray, params: LegendreParams) -> ArrayFamily:
-    """All p members, index m = 0, ..., p-1 (members are independent)."""
-    params = params.resolve()
-    _check_base(arr, params)
-    return ArrayFamily(
-        members=tuple(build_member(arr, m, params) for m in range(params.p)),
-        params=params,
-        base=arr,
-    )
+    """The family of members m = 0, ..., p-1 of `arr`; none is built here."""
+    return ArrayFamily(base=arr, params=params.resolve())
 
 
 def is_perfect(arr) -> bool:

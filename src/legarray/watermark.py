@@ -176,7 +176,7 @@ def embed(
 def _member_tables(period: np.ndarray, family: ArrayFamily) -> Iterator[np.ndarray]:
     """Exact correlation table of the rank-2n `period` against each member,
     in family order: p + 1 transforms of the period's size in all."""
-    spectra = sheared_spectra(family.base.values, (member.m for member in family))
+    spectra = sheared_spectra(family.base.values, range(len(family)))
     # members are ternary, so no |theta| exceeds sum|period|
     return exact_tables(period, spectra, bound=int(np.abs(period).sum()))
 
@@ -196,12 +196,15 @@ def extract(
     zero there. The returned score is the integer peak and the snr is the
     peak against the RMS of all other correlation entries across every
     member; results with snr below `snr_threshold` keep their payload but
-    are flagged not confident. Families with origin value a != 0 are
-    refused: their members do not sum to zero.
+    are flagged not confident; a NaN threshold, which no snr reaches, is
+    refused. So are families with origin value a != 0: their members do
+    not sum to zero.
     """
     if family.params.a != 0:
         raise ValueError("extraction requires origin value a = 0")
-    member_dims = family[0].arr.dims
+    if math.isnan(snr_threshold):
+        raise ValueError("snr threshold must be a number, got nan")
+    member_dims = family.base.dims * 2
     th, tw = tile_dims(member_dims)
     if img.height < th or img.width < tw:
         raise ValueError(
@@ -214,14 +217,14 @@ def extract(
     best_shift = (0,) * len(member_dims)
     total_sq = 0.0
     total_count = 0
-    for member, table in zip(family, _member_tables(period, family)):
+    for m, table in enumerate(_member_tables(period, family)):
         total_sq += float(np.sum(np.square(table, dtype=np.float64)))
         total_count += table.size
         peak_idx = np.unravel_index(np.argmax(table), table.shape)
         value = int(table[peak_idx])
         if value > best_value:
             best_value = value
-            best_m = member.m
+            best_m = m
             best_shift = tuple(int(x) for x in peak_idx)
 
     rest_sq = max(total_sq - best_value**2, 0.0)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from legarray import arrays, correlation, images
+from legarray import arrays, correlation, family, images
 from legarray.cli import build_parser, main
 
 from cli_usage_text import CLI_USAGE
@@ -328,6 +328,45 @@ class TestWatermarkCommands:
         assert result["m"] == 1
         assert result["shifts"] == [1, 2, 0, 1]
         assert result["confident"] is True
+
+    def test_nan_threshold_exits_1(self, capsys, tmp_path):
+        carrier = tmp_path / "in.pgm"
+        carrier.write_bytes(
+            images.write_pgm(images.GrayImage(np.full((27, 27), 128, dtype=np.uint8)))
+        )
+        code, out, err = run(
+            capsys, "extract", "--image", str(carrier), "--p", "3", "--n", "2",
+            "--snr-threshold", "nan",
+        )
+        assert (code, out) == (1, "")
+        assert "snr threshold must be a number" in err
+
+    def test_verify_and_extract_build_no_member(self, capsys, tmp_path, monkeypatch):
+        carrier = tmp_path / "in.pgm"
+        noise = np.random.default_rng(5).integers(0, 256, size=(130, 130), dtype=np.uint8)
+        carrier.write_bytes(images.write_pgm(images.GrayImage(noise)))
+        marked = tmp_path / "marked.pgm"
+        code, _, _ = run(
+            capsys, "embed", "--image", str(carrier), "--p", "5", "--n", "2",
+            "--m", "3", "--shifts", "1,4,0,2", "--out", str(marked),
+        )
+        assert code == 0
+        commands = [
+            ("verify", "--p", "5", "--n", "2"),
+            ("extract", "--image", str(marked), "--p", "5", "--n", "2"),
+        ]
+        usual = [run(capsys, *argv) for argv in commands]
+
+        def refuse(*args):
+            raise AssertionError("a family member was built")
+
+        monkeypatch.setattr(family, "build_member", refuse)
+        monkeypatch.setattr(family, "shear", refuse)
+        for argv, expected in zip(commands, usual):
+            assert run(capsys, *argv) == expected
+            assert expected[0] == 0
+        result = json.loads(usual[1][1])
+        assert (result["m"], result["shifts"], result["confident"]) == (3, [1, 4, 0, 2], True)
 
     def test_embed_validates_shifts(self, capsys, tmp_path):
         carrier = tmp_path / "in.pgm"

@@ -12,6 +12,7 @@ from legarray.family import (
     circulant_from_perfect,
     is_perfect,
 )
+from legarray.fields import Poly
 from legarray.legendre import LegendreParams, legendre_array, legendre_sequence
 
 from reference_data import FAMILY_P3_N2_S1, FAMILY_P3_N2_S2
@@ -102,6 +103,14 @@ class TestConstruction:
         assert len(family_3_2) == 3
         assert [member.m for member in family_3_2] == [0, 1, 2]
         assert family_3_2[2].m == 2
+        base, params = family_3_2.base, family_3_2.params
+        for m in range(-3, 3):
+            assert family_3_2[m] == build_member(base, m % 3, params)
+        with pytest.raises(IndexError):
+            family_3_2[3]
+        assert build_family(legendre_array(params), params) == family_3_2
+        other = LegendreParams(p=3, n=2, poly=Poly.parse("2,1,1", 3))
+        assert build_family(legendre_array(other), other) != family_3_2
 
     def test_validation(self, params_3_2):
         base = legendre_array(params_3_2)
@@ -112,10 +121,8 @@ class TestConstruction:
         wrong = TernaryArray(np.zeros((3, 4), dtype=np.int8))
         with pytest.raises(ValueError):
             build_member(wrong, 1, params_3_2)
-        with pytest.raises(ValueError):
-            ArrayFamily(
-                members=tuple(build_family(base, params_3_2))[:2], params=params_3_2, base=base
-            )
+        with pytest.raises(ValueError, match="base array dims"):
+            ArrayFamily(base=wrong, params=params_3_2)
 
 
 class TestIsPerfect:

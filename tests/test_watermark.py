@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -272,6 +273,10 @@ class TestExtract:
         family = build_family(legendre_array(params), params)
         with pytest.raises(ValueError, match=r"origin value a = 0"):
             extract(flat_gray(27), family)
+
+    def test_nan_threshold_refused(self, family_3_2):
+        with pytest.raises(ValueError, match="snr threshold must be a number"):
+            extract(flat_gray(27), family_3_2, snr_threshold=math.nan)
 
     def test_residual_guard(self, family_3_2, monkeypatch):
         real_irfftn = np.fft.irfftn
