@@ -10,16 +10,18 @@ the identity). Three kernels compute such tables exactly:
 * `full_correlation`, the oracle, evaluates this sum in integer arithmetic;
   `corr` and the reference `verify_autocorrelation`/`verify_cross_correlation`
   use it.
-* `sheared_tables` serves `verify_family`. Members are
-  S_m(x, y) = A(x) * A(y - m*x) over x, y in Z_p^n, so for any rank-n base A
-
-      theta_{S_m,S_m'}(s, t) = sum_x A(x) A(x+s) theta_A(t - m'*s + (m - m')*x),
-
-  one p^n x p^n int64 matrix product per distinct m - m', with no floats.
-* `exact_tables`, the FFT kernel, rounds each table to int64 behind a 2**53
-  refusal and a residual check. `full_correlation_fast` (`corr --fast`) runs
-  it on one pair, and extraction on every member's spectrum from
-  `sheared_spectra`.
+* `member_tables` correlates a rank-2n integer array X with every shear
+  S_m(x, y) = A(x) * A(y - m*x) of a rank-n base A: with X as a p^n x p^n
+  matrix, H[s, y] = A(y + s) and C = X @ H, theta_{X,S_m}(s, t) =
+  (H @ C_m)[s, t - m*s] where C_m[y, u] = C[y, u - m*y], so p + 1 products
+  give all p tables. Their entries and partial sums are integers bounded
+  by sum|X| * max|A|**2: float64 BLAS products are exact below 2**53 in
+  any summation order, int64 ones up to 2**63 - 1. `extract` runs it on
+  the folded period; `sheared_tables` (`verify_family`) on S_0, since
+  theta_{S_m,S_m'}(s, t) = theta_{S_0,S_{m'-m}}(s, t - m*s).
+* `exact_tables`, the FFT kernel, rounds a table to int64 behind a 2**53
+  refusal and a residual check; only `full_correlation_fast` (`corr --fast`)
+  runs it.
 """
 
 from __future__ import annotations
@@ -125,35 +127,59 @@ def shear(base: np.ndarray, m: int) -> np.ndarray:
     return base.reshape(base.shape + (1,) * base.ndim) * base[y_minus_mx]
 
 
-def sheared_tables(base: np.ndarray, pairs: Iterable[tuple[int, int]]) -> Iterator[np.ndarray]:
-    """Exact int64 tables theta_{S_m, S_m'}, one per (m, m') in `pairs`, in
-    order, of the shears S_m(x, y) = A(x) * A(y - m*x) of the rank-n base A.
+def _shear_indices(p: int, n: int) -> list[np.ndarray]:
+    """Entry s*q + t of the k-th of these p arrays is the flat index of
+    (s, t - k*s) in a q x q grid, q = p^n."""
+    flat = np.arange(p ** (2 * n)).reshape((p,) * (2 * n))
+    s, t_minus_s = _sheared_index(p, n, -1)
+    step = flat[s + t_minus_s].reshape(-1)
+    indices = [flat.reshape(-1)]
+    while len(indices) < p:
+        indices.append(step[indices[-1]])
+    return indices
 
-    With W[s, x] = A(x) * A(x+s) and theta_A made once, each table is
-    theta(s, t + m'*s) = sum_x W[s, x] * theta_A(t + (m - m')*x): one int64
-    product of p^n x p^n matrices per distinct m - m' mod p, re-indexed per
-    pair. Each S_m has sum|S_m| * max|S_m| = (sum|A| * max|A|)**2, so this
-    refuses, before any work, exactly when full_correlation would refuse the
-    members; the products' partial sums stay within that bound.
+
+def _tables(x, base, ms, indices, bound) -> Iterator[np.ndarray]:
+    # H[s, y] = A(y + s); every partial sum is an integer of magnitude <= bound
+    q, dtype = base.size, np.float64 if bound < 2**53 else np.int64
+    h = base[_sheared_index(base.shape[0], base.ndim, 1)[1]].reshape(q, q).astype(dtype)
+    c = np.matmul(x.reshape(q, q).astype(dtype), h).reshape(-1)
+    for idx in (indices[m] for m in ms):
+        product = np.matmul(h, c[idx].reshape(q, q)).reshape(-1)
+        yield product[idx].astype(np.int64).reshape(x.shape)
+
+
+def member_tables(x, base, ms: Iterable[int]) -> Iterator[np.ndarray]:
+    """Exact int64 tables theta_{x, S_m}, one per m in `ms`, in order, of the
+    rank-2n integer array x against the shears S_m of the rank-n base A.
+    The p + 1 products run in float64 while sum|x| * max|A|**2 < 2**53 and
+    in int64 up to 2**63 - 1; beyond that the call refuses, before any
+    work, exactly when full_correlation would refuse x against the members.
+    """
+    x, base = np.asarray(x, dtype=np.int64), np.asarray(base, dtype=np.int64)
+    if x.shape != base.shape * 2:
+        raise ValueError(f"dimension mismatch: {x.shape} vs the members' {base.shape * 2}")
+    bound = _theta_bound(x, base) * int(_magnitudes(base).max())
+    _check_int64(bound)
+    return _tables(x, base, ms, _shear_indices(base.shape[0], base.ndim), bound)
+
+
+def sheared_tables(base, pairs: Iterable[tuple[int, int]]) -> Iterator[np.ndarray]:
+    """Exact int64 tables theta_{S_m, S_m'}, one per (m, m') in `pairs`, in
+    order, of the shears of the rank-n base A: the `member_tables` of S_0,
+    re-indexed per pair by the same index arrays. Each S_m has
+    sum|S_m| * max|S_m| = (sum|A| * max|A|)**2, so this refuses, when
+    called, exactly when full_correlation would refuse the members.
     """
     base = np.asarray(base, dtype=np.int64)
-    _check_int64(_theta_bound(base, base) ** 2)
-    p, n = base.shape[0], base.ndim
-    q = p**n
-    _, x_plus_s = _sheared_index(p, n, 1)  # over axes (s, x)
-    w = (base.reshape((1,) * n + base.shape) * base[x_plus_s]).reshape(q, q)
-    theta = _correlate(base, base)
-    products = {}
-
-    def table(m: int, m2: int) -> np.ndarray:
-        d = (m - m2) % p
-        if d not in products:
-            _, skewed = _sheared_index(p, n, d)  # over axes (x, t)
-            products[d] = (w @ theta[skewed].reshape(q, q)).reshape((p,) * (2 * n))
-        s, t_minus_ms = _sheared_index(p, n, -m2)  # over axes (s, t)
-        return products[d][s + t_minus_ms]
-
-    return (table(m, m2) for m, m2 in pairs)
+    bound = _theta_bound(base, base) ** 2
+    _check_int64(bound)
+    p, pairs = base.shape[0], list(pairs)
+    indices = _shear_indices(p, base.ndim)
+    ds = sorted({(m2 - m) % p for m, m2 in pairs})
+    by_d = dict(zip(ds, _tables(shear(base, 0), base, ds, indices, bound)))
+    shape = base.shape * 2
+    return (np.take(by_d[(m2 - m) % p], indices[m % p]).reshape(shape) for m, m2 in pairs)
 
 
 def _round_exact(table: np.ndarray) -> np.ndarray:
@@ -170,15 +196,12 @@ def _round_exact(table: np.ndarray) -> np.ndarray:
 def exact_tables(
     x: np.ndarray, spectra: Iterable[np.ndarray], bound: int
 ) -> Iterator[np.ndarray]:
-    """Exact int64 tables theta_{x,y}(s) of x against each y in turn.
-
-    Each y is given by its half spectrum `np.fft.rfftn(y)` over all axes of
-    x's shape; `bound` caps |theta| for every y. x is transformed once, and
-    each table costs one inverse transform and is yielded before the next
-    spectrum is read. Raises PrecisionError, before any transform, when
-    `bound` reaches 2**53, where float64 holds integers inexactly and the
-    residual would not show the rounding; and, as a table is read, when
-    any entry's rounding residual reaches RESIDUAL_TOLERANCE.
+    """Exact int64 tables theta_{x,y}(s) of x against each y in turn, given
+    as its half spectrum `np.fft.rfftn(y)` over x's axes; `bound` caps every
+    |theta|. One transform of x, then one inverse per table read. Raises
+    PrecisionError, before any transform, when `bound` reaches 2**53, where
+    float64 would round without a residual to show it; and, as a table is
+    read, when a rounding residual reaches RESIDUAL_TOLERANCE.
     """
     if bound >= 2**53:
         raise PrecisionError(
@@ -189,32 +212,12 @@ def exact_tables(
     return (_round_exact(np.fft.irfftn(fx_conj * fy, s=x.shape, axes=axes)) for fy in spectra)
 
 
-def sheared_spectra(base: np.ndarray, ms: Iterable[int]) -> Iterator[np.ndarray]:
-    """Half spectra rfftn(S_m) of the members S_m(x, y) = A(x) * A(y - m*x).
-
-    A is the rank-n base array of extent p per axis. Substituting
-    z = y - m*x factors each member's DFT into two samples of A's:
-    F[S_m](xi, eta) = F[A](xi + m*eta) * F[A](eta), indices mod p. So one
-    transform of A's p^n cells gives every member's spectrum, sampled here
-    on the half grid that rfftn keeps over the member's 2n axes.
-    """
-    p, n = base.shape[0], base.ndim
-    fa = np.fft.fftn(base)
-    half = (p,) * (2 * n - 1) + (p // 2 + 1,)
-    idx = np.ogrid[tuple(slice(0, d) for d in half)]
-    f_eta = fa[tuple(idx[n:])]
-    for m in ms:
-        yield fa[tuple((idx[k] + m * idx[n + k]) % p for k in range(n))] * f_eta
-
-
 def full_correlation_fast(a, b) -> IntArray:
     """FFT-accelerated correlation table; must equal full_correlation.
 
-    Raises PrecisionError if any entry's rounding residual reaches
-    RESIDUAL_TOLERANCE, which means the array is too large for the float
-    path and the oracle should be used instead. Also raises PrecisionError
-    when the table's values may reach 2**53: float64 holds such integers
-    inexactly, so the residual would not show the rounding.
+    Raises PrecisionError, as `exact_tables` does, when the values may reach
+    2**53 or a rounding residual reaches RESIDUAL_TOLERANCE: the array is
+    then too large for the float path, and the oracle applies.
     """
     _check_same_dims(a, b)
     if a.size > FAST_SIZE_LIMIT:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import TernaryArray
-from .correlation import exact_tables, sheared_spectra
+from .correlation import member_tables
 from .family import ArrayFamily, FamilyMember
 from .images import GrayImage
 
@@ -129,17 +129,15 @@ def tile_dims(member_dims: tuple[int, ...]) -> tuple[int, int]:
 
 
 def _fold_tiles(pixels: np.ndarray, th: int, tw: int) -> np.ndarray:
-    """Sum of the whole (th, tw) tiles of `pixels` as one float64 period.
+    """Sum of the whole (th, tw) tiles of `pixels` as one int64 period.
 
     Partial tiles at the right and bottom edges are dropped. The sums are
-    taken in int64, tile rows first, and cast once: every partial sum is an
-    integer below 2^53, so the period equals the float64 sum of the tiles
-    exactly.
+    taken tile rows first.
     """
     rows, cols = pixels.shape[0] // th, pixels.shape[1] // tw
     crop = pixels[: rows * th, : cols * tw]
     by_row = crop.reshape(rows, th, cols * tw).sum(axis=0, dtype=np.int64)
-    return by_row.reshape(th, cols, tw).sum(axis=1).astype(np.float64)
+    return by_row.reshape(th, cols, tw).sum(axis=1)
 
 
 def embed(
@@ -174,11 +172,9 @@ def embed(
 
 
 def _member_tables(period: np.ndarray, family: ArrayFamily) -> Iterator[np.ndarray]:
-    """Exact correlation table of the rank-2n `period` against each member,
-    in family order: p + 1 transforms of the period's size in all."""
-    spectra = sheared_spectra(family.base.values, range(len(family)))
-    # members are ternary, so no |theta| exceeds sum|period|
-    return exact_tables(period, spectra, bound=int(np.abs(period).sum()))
+    """Exact correlation table of the rank-2n integer `period` against each
+    member, in family order: p + 1 products of p^n x p^n matrices in all."""
+    return member_tables(period, family.base.values, range(len(family)))
 
 
 def extract(
@@ -188,12 +184,11 @@ def extract(
 
     The image is cropped to whole tiles, the tiles are summed into one
     integer period (coherent gain), and the period is partitioned back into
-    rank 2n. It is transformed once; each member's spectrum comes from one
-    transform of the family's base array, and each member's table costs one
-    inverse transform, so p + 1 transforms of the period's size in all.
-    Every table is rounded to exact integers. The carrier's DC needs no
-    removal: the base array sums to zero, so every member's spectrum is
-    zero there. The returned score is the integer peak and the snr is the
+    rank 2n. Every member is a shear of the family's base array, so all p
+    exact integer tables come from p + 1 products of p^n x p^n matrices, in
+    float64 while sum|period| < 2^53 (`member_tables`). The carrier's DC
+    needs no removal: the base array sums to zero, so every member does
+    too. The returned score is the integer peak and the snr is the
     peak against the RMS of all other correlation entries across every
     member; results with snr below `snr_threshold` keep their payload but
     are flagged not confident; a NaN threshold, which no snr reaches, is

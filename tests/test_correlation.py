@@ -22,6 +22,7 @@ from legarray.correlation import (
     exact_tables,
     full_correlation,
     full_correlation_fast,
+    member_tables,
     shear,
     sheared_tables,
     verify_autocorrelation,
@@ -434,6 +435,133 @@ class TestShearedKernel:
         assert auto == [verify_autocorrelation(member) for member in family]
         pairs = itertools.combinations(family, 2)
         assert cross == [verify_cross_correlation(x, y) for x, y in pairs]
+
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def oracle_tables(x, base):
+    """full_correlation of x against every shear of base, in order."""
+    return [
+        full_correlation(IntArray(x), IntArray(shear(base, m))).values
+        for m in range(base.shape[0])
+    ]
+
+
+def with_bound(rng, base, rank, bound):
+    """A random integer array of `rank` axes of extent p whose kernel bound
+    sum|x| * max|base|**2 is exactly `bound`; its first entry takes the slack."""
+    p, peak = base.shape[0], int(np.abs(base).max())
+    assert bound % peak**2 == 0
+    x = rng.integers(-(2**30), 2**30, size=(p,) * rank)
+    x.flat[0] = 0
+    x.flat[0] = bound // peak**2 - abs_sum(x)
+    assert x.flat[0] > 0 and abs_sum(x) * peak**2 == bound
+    return x
+
+
+def abs_sum(x) -> int:
+    return sum(abs(int(v)) for v in x.flat)
+
+
+@contextlib.contextmanager
+def product_dtypes():
+    """Record the dtype of every np.matmul product made inside the block."""
+    dtypes = []
+    real = np.matmul
+
+    def recorded(a, b):
+        dtypes.append(np.result_type(a, b))
+        return real(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "matmul", recorded)
+        yield dtypes
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random non-Legendre integer base, a random integer period of any
+    magnitude up to int64, and the members to correlate it with."""
+    p, n = draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]))
+    peak = draw(st.integers(1, 2**20))
+    base = draw(st.lists(st.integers(-peak, peak), min_size=p**n, max_size=p**n))
+    top = draw(st.sampled_from([1, 2**20, 2**40, 2**52, 2**62]))
+    cells = draw(st.lists(st.integers(-top, top), min_size=p ** (2 * n), max_size=p ** (2 * n)))
+    ms = draw(st.lists(st.integers(0, p - 1), max_size=p))
+    x = np.array(cells, dtype=np.int64).reshape((p,) * (2 * n))
+    return x, np.array(base, dtype=np.int64).reshape((p,) * n), ms
+
+
+class TestMemberTablesKernel:
+    """The matmul kernel at its precision boundaries, entry by entry against
+    the oracle: float64 products below 2**53, int64 up to 2**63 - 1."""
+
+    @pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+    def test_float_path_just_below_2_53(self, p, n):
+        rng = np.random.default_rng(10 * p + n)
+        base = rng.integers(-3, 4, size=(p,) * n)
+        base.flat[0] = 3
+        x = with_bound(rng, base, 2 * n, (2**53 - 1) // 9 * 9)
+        with product_dtypes() as dtypes:
+            tables = list(member_tables(x, base, range(p)))
+        assert dtypes == [np.float64] * (p + 1)
+        for table, expected in zip(tables, oracle_tables(x, base), strict=True):
+            assert table.dtype == np.int64 and np.array_equal(table, expected)
+
+    @pytest.mark.parametrize("bound", [2**53, 2**53 + 1, 2**62 + 1, INT64_MAX])
+    def test_int64_path_from_2_53(self, bound):
+        rng = np.random.default_rng(bound % 1000)
+        base = rng.integers(-1, 2, size=(3, 3))
+        base.flat[0] = 1
+        x = with_bound(rng, base, 4, bound)
+        with product_dtypes() as dtypes:
+            tables = list(member_tables(x, base, range(3)))
+        assert dtypes == [np.int64] * 4
+        for table, expected in zip(tables, oracle_tables(x, base), strict=True):
+            assert np.array_equal(table, expected)
+
+    def test_refused_one_past_int64(self):
+        base = np.array([[1, 0, -1], [0, 1, 0], [1, 1, 0]])
+        x = with_bound(np.random.default_rng(1), base, 4, INT64_MAX + 1)
+        with product_dtypes() as dtypes:
+            with pytest.raises(ValueError, match="beyond the int64 range"):
+                member_tables(x, base, range(3))
+            with pytest.raises(ValueError, match="beyond the int64 range"):
+                full_correlation(IntArray(x), IntArray(shear(base, 0)))
+        assert dtypes == []
+
+    def test_refuses_when_called_like_the_oracle(self):
+        # base [0, 1, c] against a 3 x 3 period of ones: the bound is 9 * c**2
+        c = math.isqrt(INT64_MAX // 9)  # the largest c with 9 * c**2 <= 2**63 - 1
+        x = np.ones((3, 3), dtype=np.int64)
+        base = np.array([0, 1, c])
+        with oracle_refused():
+            tables = list(member_tables(x, base, range(3)))
+        assert all(map(np.array_equal, tables, oracle_tables(x, base)))
+        base = np.array([0, 1, c + 1])
+        with pytest.raises(ValueError, match="beyond the int64 range"):
+            full_correlation(IntArray(x), IntArray(shear(base, 0)))
+        # refused when called, before any table is read
+        with pytest.raises(ValueError, match="beyond the int64 range"):
+            member_tables(x, base, range(3))
+
+    def test_dims_mismatch_refused(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            member_tables(np.zeros((3, 3, 3)), np.array([1, -1, 0]), [0])
+
+    @given(kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_random_periods_and_bases(self, case):
+        x, base, ms = case
+        bound = abs_sum(x) * int(np.abs(base).max()) ** 2
+        if bound > INT64_MAX:
+            with pytest.raises(ValueError, match="beyond the int64 range"):
+                member_tables(x, base, ms)
+            return
+        oracle = oracle_tables(x, base)
+        for m, table in zip(ms, member_tables(x, base, ms), strict=True):
+            assert np.array_equal(table, oracle[m]), m
 
 
 class TestWelchMetrics:

@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legarray.arrays import IntArray, TernaryArray
-from legarray.correlation import (
-    PrecisionError,
-    full_correlation,
-    full_correlation_fast,
-    sheared_spectra,
-)
+from legarray.correlation import full_correlation, full_correlation_fast, verify_family
 from legarray.images import GrayImage
 from legarray.legendre import LegendreParams, legendre_array
 from legarray.family import build_family
@@ -158,7 +153,7 @@ class TestFoldTiles:
         }[carrier]
         folded = _fold_tiles(pixels, *tile)
         expected = self.float_fold(pixels, *tile)
-        assert folded.dtype == np.float64 and folded.shape == tile
+        assert folded.dtype == np.int64 and folded.shape == tile
         assert np.array_equal(folded, expected)
 
 
@@ -278,16 +273,6 @@ class TestExtract:
         with pytest.raises(ValueError, match="snr threshold must be a number"):
             extract(flat_gray(27), family_3_2, snr_threshold=math.nan)
 
-    def test_residual_guard(self, family_3_2, monkeypatch):
-        real_irfftn = np.fft.irfftn
-
-        def noisy_irfftn(*args, **kwargs):
-            return real_irfftn(*args, **kwargs) + 0.25
-
-        monkeypatch.setattr(np.fft, "irfftn", noisy_irfftn)
-        with pytest.raises(PrecisionError):
-            extract(flat_gray(27), family_3_2)
-
 
 def family_for(p, n):
     params = LegendreParams(p=p, n=n).resolve()
@@ -330,33 +315,32 @@ class TestMemberTables:
         for member, table in zip(family, _member_tables(period.values, family)):
             assert np.array_equal(table, full_correlation_fast(period, member.arr).values)
 
-    @pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (13, 2), (3, 4)])
-    def test_sheared_spectra_equal_member_spectra(self, p, n):
-        family = family_for(p, n)
-        spectra = sheared_spectra(family.base.values, range(p))
-        for member, spectrum in zip(family, spectra):
-            assert np.allclose(spectrum, np.fft.rfftn(member.arr.values), rtol=0, atol=1e-9)
-
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
     def test_transform_count(self, p, n, monkeypatch):
+        # extract and verify_family each make p + 1 matrix products of
+        # p^n x p^n cells, and no FFT
         family = family_for(p, n)
         th, tw = tile_dims(family[0].arr.dims)
-        calls = []
+        q = p**n
+        shapes = []
+        real = np.matmul
+
+        def counted(a, b):
+            out = real(a, b)
+            shapes.append(out.shape)
+            return out
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("FFT called")
+
+        monkeypatch.setattr(np, "matmul", counted)
         for name in ("fftn", "rfftn", "irfftn"):
-            real = getattr(np.fft, name)
-
-            def counted(x, *args, _name=name, _real=real, **kwargs):
-                out = _real(x, *args, **kwargs)
-                cells = out.size if _name == "irfftn" else np.asarray(x).size
-                calls.append((_name, cells))
-                return out
-
-            monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(np.fft, name, no_transform)
         extract(flat_gray(2 * max(th, tw)), family)
-        big = p ** (2 * n)
-        assert sorted(calls) == sorted(
-            [("fftn", p**n), ("rfftn", big)] + [("irfftn", big)] * p
-        )
+        assert shapes == [(q, q)] * (p + 1)
+        shapes.clear()
+        verify_family(family)
+        assert shapes == [(q, q)] * (p + 1)
 
 
 # extract(...).to_json_dict() recorded once the tables became exact integers
