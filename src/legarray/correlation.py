@@ -17,18 +17,19 @@ the identity). Three kernels compute such tables exactly:
   give all p tables. Their entries and partial sums are integers bounded
   by sum|X| * max|A|**2: float64 BLAS products are exact below 2**53 in
   any summation order, int64 ones up to 2**63 - 1. `extract` runs it on
-  the folded period; `sheared_tables` (`verify_family`) on S_0, since
-  theta_{S_m,S_m'}(s, t) = theta_{S_0,S_{m'-m}}(s, t - m*s).
-* `exact_tables`, the FFT kernel, rounds a table to int64 behind a 2**53
-  refusal and a residual check; only `full_correlation_fast` (`corr --fast`)
-  runs it.
+  the folded period, `verify_family` on S_0: since theta_{S_m,S_m'}(s, t)
+  = theta_{S_0,S_d}(s, t - m*s) with d = m' - m, a bijection that fixes
+  the zero shift, the p tables of S_0 give one bound report per d, and
+  each pair's report is its d's with the attaining shifts mapped back.
+* `full_correlation_fast`, the FFT kernel of `corr --fast`, rounds its
+  table to int64 behind a 2**53 refusal and a residual check.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -139,18 +140,18 @@ def _shear_indices(p: int, n: int) -> list[np.ndarray]:
     return indices
 
 
-def _tables(x, base, ms, indices, bound) -> Iterator[np.ndarray]:
+def _tables(x, base, indices, bound) -> Iterator[np.ndarray]:
     # H[s, y] = A(y + s); every partial sum is an integer of magnitude <= bound
     q, dtype = base.size, np.float64 if bound < 2**53 else np.int64
     h = base[_sheared_index(base.shape[0], base.ndim, 1)[1]].reshape(q, q).astype(dtype)
     c = np.matmul(x.reshape(q, q).astype(dtype), h).reshape(-1)
-    for idx in (indices[m] for m in ms):
+    for idx in indices:
         product = np.matmul(h, c[idx].reshape(q, q)).reshape(-1)
         yield product[idx].astype(np.int64).reshape(x.shape)
 
 
-def member_tables(x, base, ms: Iterable[int]) -> Iterator[np.ndarray]:
-    """Exact int64 tables theta_{x, S_m}, one per m in `ms`, in order, of the
+def member_tables(x, base) -> Iterator[np.ndarray]:
+    """Exact int64 tables theta_{x, S_m}, for m = 0 .. p - 1 in order, of the
     rank-2n integer array x against the shears S_m of the rank-n base A.
     The p + 1 products run in float64 while sum|x| * max|A|**2 < 2**53 and
     in int64 up to 2**63 - 1; beyond that the call refuses, before any
@@ -161,28 +162,29 @@ def member_tables(x, base, ms: Iterable[int]) -> Iterator[np.ndarray]:
         raise ValueError(f"dimension mismatch: {x.shape} vs the members' {base.shape * 2}")
     bound = _theta_bound(x, base) * int(_magnitudes(base).max())
     _check_int64(bound)
-    return _tables(x, base, ms, _shear_indices(base.shape[0], base.ndim), bound)
+    return _tables(x, base, _shear_indices(base.shape[0], base.ndim), bound)
 
 
-def sheared_tables(base, pairs: Iterable[tuple[int, int]]) -> Iterator[np.ndarray]:
-    """Exact int64 tables theta_{S_m, S_m'}, one per (m, m') in `pairs`, in
-    order, of the shears of the rank-n base A: the `member_tables` of S_0,
-    re-indexed per pair by the same index arrays. Each S_m has
-    sum|S_m| * max|S_m| = (sum|A| * max|A|)**2, so this refuses, when
-    called, exactly when full_correlation would refuse the members.
+def full_correlation_fast(a, b) -> IntArray:
+    """FFT-accelerated correlation table; must equal full_correlation.
+
+    One transform of each array and one inverse, rounded to int64. Raises
+    PrecisionError, before any transform, when the values may reach 2**53,
+    where float64 would round without a residual to show it; and when a
+    rounding residual reaches RESIDUAL_TOLERANCE. The array is then too
+    large for the float path, and the oracle applies.
     """
-    base = np.asarray(base, dtype=np.int64)
-    bound = _theta_bound(base, base) ** 2
-    _check_int64(bound)
-    p, pairs = base.shape[0], list(pairs)
-    indices = _shear_indices(p, base.ndim)
-    ds = sorted({(m2 - m) % p for m, m2 in pairs})
-    by_d = dict(zip(ds, _tables(shear(base, 0), base, ds, indices, bound)))
-    shape = base.shape * 2
-    return (np.take(by_d[(m2 - m) % p], indices[m % p]).reshape(shape) for m, m2 in pairs)
-
-
-def _round_exact(table: np.ndarray) -> np.ndarray:
+    _check_same_dims(a, b)
+    if a.size > FAST_SIZE_LIMIT:
+        raise ValueError(f"array size {a.size} exceeds fast-path limit {FAST_SIZE_LIMIT}")
+    bound = _theta_bound(a.values, b.values)
+    if bound >= 2**53:
+        raise PrecisionError(
+            f"correlation values may reach {bound} >= 2**53; too large for the float path"
+        )
+    axes = tuple(range(a.rank))
+    spectrum = np.conj(np.fft.rfftn(a.values, axes=axes)) * np.fft.rfftn(b.values, axes=axes)
+    table = np.fft.irfftn(spectrum, s=a.dims, axes=axes)
     rounded = np.rint(table)
     residual = float(np.abs(table - rounded).max())
     if residual >= RESIDUAL_TOLERANCE:
@@ -190,41 +192,7 @@ def _round_exact(table: np.ndarray) -> np.ndarray:
             f"rounding residual {residual:.3e} >= {RESIDUAL_TOLERANCE:.0e}; "
             "array too large for the float path"
         )
-    return rounded.astype(np.int64)
-
-
-def exact_tables(
-    x: np.ndarray, spectra: Iterable[np.ndarray], bound: int
-) -> Iterator[np.ndarray]:
-    """Exact int64 tables theta_{x,y}(s) of x against each y in turn, given
-    as its half spectrum `np.fft.rfftn(y)` over x's axes; `bound` caps every
-    |theta|. One transform of x, then one inverse per table read. Raises
-    PrecisionError, before any transform, when `bound` reaches 2**53, where
-    float64 would round without a residual to show it; and, as a table is
-    read, when a rounding residual reaches RESIDUAL_TOLERANCE.
-    """
-    if bound >= 2**53:
-        raise PrecisionError(
-            f"correlation values may reach {bound} >= 2**53; too large for the float path"
-        )
-    axes = tuple(range(x.ndim))
-    fx_conj = np.conj(np.fft.rfftn(x, axes=axes))
-    return (_round_exact(np.fft.irfftn(fx_conj * fy, s=x.shape, axes=axes)) for fy in spectra)
-
-
-def full_correlation_fast(a, b) -> IntArray:
-    """FFT-accelerated correlation table; must equal full_correlation.
-
-    Raises PrecisionError, as `exact_tables` does, when the values may reach
-    2**53 or a rounding residual reaches RESIDUAL_TOLERANCE: the array is
-    then too large for the float path, and the oracle applies.
-    """
-    _check_same_dims(a, b)
-    if a.size > FAST_SIZE_LIMIT:
-        raise ValueError(f"array size {a.size} exceeds fast-path limit {FAST_SIZE_LIMIT}")
-    bound = _theta_bound(a.values, b.values)
-    (table,) = exact_tables(a.values, [np.fft.rfftn(b.values)], bound)
-    return IntArray(table)
+    return IntArray(rounded.astype(np.int64))
 
 
 # The pair kernels of `corr`, without and with --fast.
@@ -383,17 +351,35 @@ def verify_family(
 ) -> tuple[list[CorrelationReport], list[CorrelationReport]]:
     """The auto report of every member and the cross report of every pair
     i < j, in family order, equal to verify_autocorrelation's and
-    verify_cross_correlation's on the members, but from `sheared_tables` on
-    the family's base: no member is built. Refuses origin value a != 0, as
-    those do, before any table is made.
+    verify_cross_correlation's on the members, but from the family's base:
+    no member is built. The table of (m, m') is theta_{S_0,S_d}, d = m' - m,
+    re-indexed by (s, t) -> (s, t - m*s), a bijection fixing the zero shift.
+    So the `member_tables` kernel on S_0 gives p tables and p bound reports,
+    and each pair's report is its d's with the attaining shifts mapped back.
+    Refuses origin value a != 0, as those do, before any table is made.
     """
     _check_auto(family.params)
-    ms = range(len(family))
-    pairs = list(itertools.combinations(ms, 2))
-    q = family.params.p ** family.params.n
-    tables = sheared_tables(family.base.values, [(m, m) for m in ms] + pairs)
-    auto = [_bound_report(next(tables), q, m) for m in ms]
-    cross = [_bound_report(next(tables), q, m1, m2) for m1, m2 in pairs]
+    # a ternary base keeps every partial sum within q**2: no refusal applies
+    base = family.base.values.astype(np.int64)
+    bound = _theta_bound(base, base) ** 2
+    p, q = family.params.p, base.size
+    indices = _shear_indices(p, base.ndim)
+    tables = _tables(shear(base, 0), base, indices, bound)
+    by_d = [_bound_report(t, q, *((0, d) if d else (0,))) for d, t in enumerate(tables)]
+
+    def moved(*ms: int) -> CorrelationReport:
+        m, report = ms[0], by_d[(ms[-1] - ms[0]) % p]
+        # indices[m] takes the pair's table from d's, and indices[-m] undoes it
+        flat = np.sort(indices[-m][report.peak_shifts.flat])
+        return replace(
+            report,
+            members=ms,
+            peak_shifts=PeakShifts(flat, report.peak_shifts.shape),
+            value_histogram=dict(report.value_histogram),
+        )
+
+    auto = [moved(m) for m in range(p)]
+    cross = [moved(m1, m2) for m1, m2 in itertools.combinations(range(p), 2)]
     return auto, cross
 
 

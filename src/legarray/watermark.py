@@ -13,7 +13,6 @@ which encodes both the member index and all 2n shifts.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,12 +170,6 @@ def embed(
     return GrayImage(marked.astype(np.uint8))
 
 
-def _member_tables(period: np.ndarray, family: ArrayFamily) -> Iterator[np.ndarray]:
-    """Exact correlation table of the rank-2n integer `period` against each
-    member, in family order: p + 1 products of p^n x p^n matrices in all."""
-    return member_tables(period, family.base.values, range(len(family)))
-
-
 def extract(
     img: GrayImage, family: ArrayFamily, snr_threshold: float = DEFAULT_SNR_THRESHOLD
 ) -> ExtractionResult:
@@ -212,7 +205,7 @@ def extract(
     best_shift = (0,) * len(member_dims)
     total_sq = 0.0
     total_count = 0
-    for m, table in enumerate(_member_tables(period, family)):
+    for m, table in enumerate(member_tables(period, family.base.values)):
         total_sq += float(np.sum(np.square(table, dtype=np.float64)))
         total_count += table.size
         peak_idx = np.unravel_index(np.argmax(table), table.shape)

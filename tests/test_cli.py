@@ -32,6 +32,27 @@ FULL_REPORT_SHA256 = {
         "15bd17055d6d4263cbbbacbd06743a01334b9f49829c0250e1a13b4c6204f540",
 }
 
+# sha256 of verify's stdout as printed, default and --full: any change to a
+# report's values, members or the order of its listed shifts shows here
+VERIFY_STDOUT_SHA256 = {
+    ("--p", "7", "--n", "2"):
+        "cbb77ff00070d5cae6b372da726db71fdeb19f7b8a910d5bb1d9da8e61e4acaa",
+    ("--p", "7", "--n", "2", "--full"):
+        "10a016b89896191a47e3c1dc2f2db5c7a1234a9f5b3b468487d52ef2d3edae07",
+    ("--p", "3", "--n", "3"):
+        "c5de800a9f036173a3223b36ce23edf4b96ef2999cc5e097fd452eed11c929a8",
+    ("--p", "3", "--n", "3", "--full"):
+        "5676e4ca86d349d5479134bf5efcdc0a38db9df3e4306d8eb6e4264cfb24558a",
+    ("--p", "3", "--n", "4"):
+        "b532502567e916706262fcab0d99a119637e3fc9c7fff1643f68a8beaf914881",
+    ("--p", "3", "--n", "4", "--full"):
+        "05a0ab314f3b4c7734d1b2d2c55563337f6ccfe6875dba81f0085f58959fbd1d",
+    ("--p", "11", "--n", "2"):
+        "5eb4c2df7b6b4733964c8f14bd29ba2945ae389fd172b55496e928cf5a002777",
+    ("--p", "13", "--n", "2"):
+        "912728966fe379e8f3099cd844703c92b0829f33497b21386f1459ab6040d6cf",
+}
+
 
 class TestGenLegendre:
     def test_p17_matches_reference(self, capsys):
@@ -222,6 +243,16 @@ class TestVerify:
             assert r.pop("peak_shift_count") == len(r["peak_shifts"])
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == FULL_REPORT_SHA256[args]
+
+    @pytest.mark.parametrize(
+        "args",
+        list(VERIFY_STDOUT_SHA256),
+        ids=["7-2", "7-2-full", "3-3", "3-3-full", "3-4", "3-4-full", "11-2", "13-2"],
+    )
+    def test_stdout_is_pinned(self, capsys, args):
+        code, out, _ = run(capsys, "verify", *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[args]
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
     def test_default_report_lists_first_shifts(self, capsys, p, n):

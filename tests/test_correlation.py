@@ -19,12 +19,10 @@ from legarray.correlation import (
     PeakShifts,
     PrecisionError,
     cross_correlation_at,
-    exact_tables,
     full_correlation,
     full_correlation_fast,
     member_tables,
     shear,
-    sheared_tables,
     verify_autocorrelation,
     verify_cross_correlation,
     verify_family,
@@ -190,18 +188,18 @@ class TestFastPath:
             with pytest.raises(PrecisionError, match=r"2\*\*53"):
                 full_correlation_fast(IntArray(a), b)
 
-    def test_shared_kernel_refuses_bound_2_53_before_transforming(self, monkeypatch):
-        x = np.array([3, 0, 1])
-        spectra = [np.fft.rfftn(np.array([1, -1, 0]))]
-        (table,) = exact_tables(x, spectra, bound=2**53 - 1)
-        assert table.tolist() == full_correlation(IntArray(x), IntArray([1, -1, 0])).values.tolist()
+    def test_refuses_bound_2_53_before_transforming(self, monkeypatch):
+        b = IntArray([1, -1, 0])
+        x = IntArray([3, 0, 1])
+        assert full_correlation_fast(x, b) == full_correlation(x, b)
 
         def no_transform(*args, **kwargs):
             raise AssertionError("transformed before refusing")
 
         monkeypatch.setattr(np.fft, "rfftn", no_transform)
-        with pytest.raises(PrecisionError, match=r"2\*\*53"):
-            exact_tables(x, spectra, bound=2**53)
+        for top in (2**53, 2**53 + 1, 2**62):
+            with pytest.raises(PrecisionError, match=r"2\*\*53"):
+                full_correlation_fast(IntArray([top, 0, 0]), b)
 
 
 def test_numpy_fft_used_only_in_correlation_module():
@@ -349,12 +347,30 @@ def resolved(p, n):
 
 
 @st.composite
-def sheared_pairs(draw):
-    """A random ternary base (not a Legendre array) and two member indices."""
+def ternary_bases(draw):
+    """A random ternary base (not a Legendre array) and its resolved params."""
     p, n = draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]))
     cells = draw(st.lists(st.integers(-1, 1), min_size=p**n, max_size=p**n))
-    m1, m2 = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
-    return TernaryArray(np.array(cells).reshape((p,) * n)), resolved(p, n), m1, m2
+    return TernaryArray(np.array(cells).reshape((p,) * n)), resolved(p, n)
+
+
+@st.composite
+def sheared_pairs(draw):
+    """A random ternary base, its params and two member indices."""
+    base, params = draw(ternary_bases())
+    m1, m2 = draw(st.integers(0, params.p - 1)), draw(st.integers(0, params.p - 1))
+    return base, params, m1, m2
+
+
+def pair_tables(base, pairs):
+    """theta_{S_m,S_m'} for each (m, m') in `pairs`, read from the d-table
+    theta_{S_0,S_d}, d = m' - m, of `member_tables` on S_0: entry (s, t) is
+    the d-table's at (s, t - m*s), which the m-th shear index array lists."""
+    p = base.shape[0]
+    indices = correlation._shear_indices(p, base.ndim)
+    with oracle_refused():
+        by_d = list(member_tables(shear(base, 0), base))
+    return [np.take(by_d[(m2 - m) % p], indices[m]).reshape(by_d[0].shape) for m, m2 in pairs]
 
 
 SHEARED_GRID = [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3)]
@@ -364,22 +380,20 @@ class TestShearedKernel:
     @pytest.mark.parametrize("p,n", SHEARED_GRID)
     def test_equals_oracle_on_every_ordered_pair(self, p, n):
         family = family_for(p, n)
-        pairs = list(itertools.product(family, repeat=2))
-        with oracle_refused():
-            tables = sheared_tables(family.base.values, [(x.m, y.m) for x, y in pairs])
-            for (x, y), table in zip(pairs, tables, strict=True):
-                assert table.dtype == np.int64
-                assert np.array_equal(table, full_correlation(x.arr, y.arr).values), (x.m, y.m)
+        pairs = list(itertools.product(range(p), repeat=2))
+        for (m, m2), table in zip(pairs, pair_tables(family.base.values, pairs), strict=True):
+            assert table.dtype == np.int64
+            expected = full_correlation(family[m].arr, family[m2].arr).values
+            assert np.array_equal(table, expected), (m, m2)
 
     @given(sheared_pairs())
     @settings(max_examples=60, deadline=None)
     def test_shear_identity_holds_for_any_base(self, case):
-        # the kernel uses only S_m(x, y) = A(x) A(y - m x), not the Legendre
+        # the re-index uses only S_m(x, y) = A(x) A(y - m x), not the Legendre
         # property: random bases, origin included, give the oracle's table
         base, params, m1, m2 = case
         x, y = build_member(base, m1, params), build_member(base, m2, params)
-        with oracle_refused():
-            (table,) = sheared_tables(base.values, [(m1, m2)])
+        (table,) = pair_tables(base.values, [(m1, m2)])
         assert np.array_equal(table, full_correlation(x.arr, y.arr).values)
 
     @pytest.mark.parametrize("p,n", SHEARED_GRID + [(11, 2), (13, 2), (3, 4)])
@@ -394,19 +408,19 @@ class TestShearedKernel:
         idx = np.ogrid[(slice(0, p),) * (2 * n)]
         s, t = idx[:n], idx[n:]
         pairs = list(itertools.product(range(p), repeat=2))
-        with oracle_refused():
-            for (m, m2), table in zip(pairs, sheared_tables(a, pairs), strict=True):
-                if m == m2:
-                    expected = lam[tuple(s)] * lam[tuple((tk - m * sk) % p for sk, tk in zip(s, t))]
-                else:
-                    inv = pow(m - m2, -1, p)
-                    x = tuple((m2 * sk - tk) * inv % p for sk, tk in zip(s, t))
-                    shifted = tuple((xk + sk) % p for xk, sk in zip(x, s))
-                    expected = q * a[x] * a[shifted] - lam[tuple(s)]
-                assert np.array_equal(table, expected), (m, m2)
+        for (m, m2), table in zip(pairs, pair_tables(a, pairs), strict=True):
+            if m == m2:
+                expected = lam[tuple(s)] * lam[tuple((tk - m * sk) % p for sk, tk in zip(s, t))]
+            else:
+                inv = pow(m - m2, -1, p)
+                x = tuple((m2 * sk - tk) * inv % p for sk, tk in zip(s, t))
+                shifted = tuple((xk + sk) % p for xk, sk in zip(x, s))
+                expected = q * a[x] * a[shifted] - lam[tuple(s)]
+            assert np.array_equal(table, expected), (m, m2)
 
     def test_refuses_tables_beyond_int64_like_the_oracle(self):
-        # base [0, 1, c]: sum|S_m| * max|S_m| = ((1 + c) * c)**2 for every m
+        # base [0, 1, c]: sum|S_m| * max|S_m| = ((1 + c) * c)**2 for every m,
+        # and so is member_tables' bound on S_0, sum|S_0| * max|A|**2
         top = math.isqrt(np.iinfo(np.int64).max)
         c = (math.isqrt(4 * top + 1) - 1) // 2  # the largest c with c * (c + 1) <= top
         pairs = list(itertools.product(range(3), repeat=2))
@@ -416,16 +430,18 @@ class TestShearedKernel:
             return base, [IntArray(shear(base, m)) for m in range(3)]
 
         base, members = base_and_members(c)
-        with oracle_refused():
-            for (m, m2), table in zip(pairs, sheared_tables(base, pairs), strict=True):
-                assert np.array_equal(table, full_correlation(members[m], members[m2]).values)
+        with product_dtypes() as dtypes:
+            tables = pair_tables(base, pairs)
+        assert dtypes == [np.int64] * 4
+        for (m, m2), table in zip(pairs, tables, strict=True):
+            assert np.array_equal(table, full_correlation(members[m], members[m2]).values)
         base, members = base_and_members(c + 1)
         for m, m2 in pairs:
             with pytest.raises(ValueError, match="beyond the int64 range"):
                 full_correlation(members[m], members[m2])
         # refused when called, before any table is read
         with pytest.raises(ValueError, match="beyond the int64 range"):
-            sheared_tables(base, pairs)
+            member_tables(shear(base, 0), base)
 
     @pytest.mark.parametrize("p,n", BOUND_GRID + [(5, 2), (7, 2)])
     def test_verify_family_equals_the_oracle_reports(self, p, n):
@@ -435,6 +451,35 @@ class TestShearedKernel:
         assert auto == [verify_autocorrelation(member) for member in family]
         pairs = itertools.combinations(family, 2)
         assert cross == [verify_cross_correlation(x, y) for x, y in pairs]
+
+    @given(ternary_bases())
+    @settings(max_examples=60, deadline=None)
+    def test_verify_family_equals_the_oracle_reports_for_any_base(self, case):
+        # a report per d = m' - m, mapped to each pair, whatever the values:
+        # random bases break the bounds and the derived value sets
+        family = build_family(*case)
+        with oracle_refused():
+            auto, cross = verify_family(family)
+        pairs = itertools.combinations(family, 2)
+        expected = [verify_autocorrelation(member) for member in family]
+        expected += [verify_cross_correlation(x, y) for x, y in pairs]
+        assert auto + cross == expected
+        assert [r.to_json_dict() for r in auto + cross] == [r.to_json_dict() for r in expected]
+
+    @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (7, 2), (3, 3)])
+    def test_one_bound_report_per_difference(self, p, n, monkeypatch):
+        # p reports, one per d = m' - m, rather than p(p + 1)/2
+        calls = []
+        real = correlation._bound_report
+
+        def counted(table, q, *ms):
+            calls.append(ms)
+            return real(table, q, *ms)
+
+        monkeypatch.setattr(correlation, "_bound_report", counted)
+        auto, cross = verify_family(family_for(p, n))
+        assert calls == [(0,)] + [(0, d) for d in range(1, p)]
+        assert len(auto) + len(cross) == p * (p + 1) // 2
 
 
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -481,16 +526,15 @@ def product_dtypes():
 
 @st.composite
 def kernel_cases(draw):
-    """A random non-Legendre integer base, a random integer period of any
-    magnitude up to int64, and the members to correlate it with."""
+    """A random non-Legendre integer base and a random integer period of any
+    magnitude up to int64."""
     p, n = draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]))
     peak = draw(st.integers(1, 2**20))
     base = draw(st.lists(st.integers(-peak, peak), min_size=p**n, max_size=p**n))
     top = draw(st.sampled_from([1, 2**20, 2**40, 2**52, 2**62]))
     cells = draw(st.lists(st.integers(-top, top), min_size=p ** (2 * n), max_size=p ** (2 * n)))
-    ms = draw(st.lists(st.integers(0, p - 1), max_size=p))
     x = np.array(cells, dtype=np.int64).reshape((p,) * (2 * n))
-    return x, np.array(base, dtype=np.int64).reshape((p,) * n), ms
+    return x, np.array(base, dtype=np.int64).reshape((p,) * n)
 
 
 class TestMemberTablesKernel:
@@ -504,7 +548,7 @@ class TestMemberTablesKernel:
         base.flat[0] = 3
         x = with_bound(rng, base, 2 * n, (2**53 - 1) // 9 * 9)
         with product_dtypes() as dtypes:
-            tables = list(member_tables(x, base, range(p)))
+            tables = list(member_tables(x, base))
         assert dtypes == [np.float64] * (p + 1)
         for table, expected in zip(tables, oracle_tables(x, base), strict=True):
             assert table.dtype == np.int64 and np.array_equal(table, expected)
@@ -516,7 +560,7 @@ class TestMemberTablesKernel:
         base.flat[0] = 1
         x = with_bound(rng, base, 4, bound)
         with product_dtypes() as dtypes:
-            tables = list(member_tables(x, base, range(3)))
+            tables = list(member_tables(x, base))
         assert dtypes == [np.int64] * 4
         for table, expected in zip(tables, oracle_tables(x, base), strict=True):
             assert np.array_equal(table, expected)
@@ -526,7 +570,7 @@ class TestMemberTablesKernel:
         x = with_bound(np.random.default_rng(1), base, 4, INT64_MAX + 1)
         with product_dtypes() as dtypes:
             with pytest.raises(ValueError, match="beyond the int64 range"):
-                member_tables(x, base, range(3))
+                member_tables(x, base)
             with pytest.raises(ValueError, match="beyond the int64 range"):
                 full_correlation(IntArray(x), IntArray(shear(base, 0)))
         assert dtypes == []
@@ -537,31 +581,31 @@ class TestMemberTablesKernel:
         x = np.ones((3, 3), dtype=np.int64)
         base = np.array([0, 1, c])
         with oracle_refused():
-            tables = list(member_tables(x, base, range(3)))
+            tables = list(member_tables(x, base))
         assert all(map(np.array_equal, tables, oracle_tables(x, base)))
         base = np.array([0, 1, c + 1])
         with pytest.raises(ValueError, match="beyond the int64 range"):
             full_correlation(IntArray(x), IntArray(shear(base, 0)))
         # refused when called, before any table is read
         with pytest.raises(ValueError, match="beyond the int64 range"):
-            member_tables(x, base, range(3))
+            member_tables(x, base)
 
     def test_dims_mismatch_refused(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            member_tables(np.zeros((3, 3, 3)), np.array([1, -1, 0]), [0])
+            member_tables(np.zeros((3, 3, 3)), np.array([1, -1, 0]))
 
     @given(kernel_cases())
     @settings(max_examples=60, deadline=None)
     def test_random_periods_and_bases(self, case):
-        x, base, ms = case
+        x, base = case
         bound = abs_sum(x) * int(np.abs(base).max()) ** 2
         if bound > INT64_MAX:
             with pytest.raises(ValueError, match="beyond the int64 range"):
-                member_tables(x, base, ms)
+                member_tables(x, base)
             return
-        oracle = oracle_tables(x, base)
-        for m, table in zip(ms, member_tables(x, base, ms), strict=True):
-            assert np.array_equal(table, oracle[m]), m
+        tables = member_tables(x, base)
+        for m, (table, expected) in enumerate(zip(tables, oracle_tables(x, base), strict=True)):
+            assert np.array_equal(table, expected), m
 
 
 class TestWelchMetrics:

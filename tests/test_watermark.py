@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legarray.arrays import IntArray, TernaryArray
-from legarray.correlation import full_correlation, full_correlation_fast, verify_family
+from legarray.correlation import (
+    full_correlation,
+    full_correlation_fast,
+    member_tables,
+    verify_family,
+)
 from legarray.images import GrayImage
 from legarray.legendre import LegendreParams, legendre_array
 from legarray.family import build_family
@@ -21,7 +26,6 @@ from legarray.watermark import (
     unflatten,
     _flatten_values,
     _fold_tiles,
-    _member_tables,
     _unflatten_values,
 )
 
@@ -299,7 +303,7 @@ class TestMemberTables:
         family = family_for(p, n)
         period = marked_period(family, 100 * p + n)
         oracle_input = IntArray(period.astype(np.int64))
-        tables = list(_member_tables(period, family))
+        tables = list(member_tables(period, family.base.values))
         assert len(tables) == p
         for member, table in zip(family, tables):
             assert table.dtype == np.int64
@@ -312,7 +316,7 @@ class TestMemberTables:
     def test_equal_the_fast_path_at_13_2(self):
         family = family_for(13, 2)
         period = IntArray(marked_period(family, 1302).astype(np.int64))
-        for member, table in zip(family, _member_tables(period.values, family)):
+        for member, table in zip(family, member_tables(period.values, family.base.values)):
             assert np.array_equal(table, full_correlation_fast(period, member.arr).values)
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
