@@ -238,6 +238,37 @@ def find_primitive_poly(p: int, n: int) -> Poly:
     raise RuntimeError(f"no primitive polynomial of degree {n} over GF({p})")
 
 
+def antilog_table(modulus: Poly) -> np.ndarray:
+    """Read-only (p**n - 1, n) int64 array whose row i is x**i mod `modulus`.
+
+    `modulus` is monic of degree n and already known to be primitive; it is
+    not tested here, so the rows are the p**n - 1 distinct nonzero elements
+    only when the caller has proved that. A row vector times the matrix X
+    of multiplication by x is the next power, so rows [L, 2L) are rows
+    [0, L) times X**L: the table is enumerated by doubling, in about
+    log2(p**n) matrix products mod p. Entries stay below p, so every sum of
+    products is below n * p**2 < 2**63. Fields of order above
+    _POWER_TABLE_LIMIT are refused.
+    """
+    p, n = modulus.p, modulus.degree
+    order = p**n - 1
+    if order > _POWER_TABLE_LIMIT:
+        raise ValueError(f"field order {order + 1} too large to tabulate")
+    step = np.zeros((n, n), dtype=np.int64)
+    step[np.arange(n - 1), np.arange(1, n)] = 1  # x * x**i = x**(i+1)
+    step[n - 1] = [-c % p for c in modulus.coeffs[:n]]  # x**n mod the monic modulus
+    table = np.zeros((order, n), dtype=np.int64)
+    table[0, 0] = 1
+    filled = 1
+    while filled < order:
+        count = min(filled, order - filled)
+        table[filled : filled + count] = table[:count] @ step % p
+        step = step @ step % p
+        filled += count
+    table.flags.writeable = False
+    return table
+
+
 class ExtField:
     """GF(p^n) presented as GF(p)[x]/(modulus) with generator alpha = x.
 
@@ -290,29 +321,11 @@ class ExtField:
     def power_table(self) -> np.ndarray:
         """Read-only (p**n - 1, n) int64 array whose row i is alpha**i.
 
-        A row vector times the matrix X of multiplication by alpha = x is
-        the next power, so rows [L, 2L) are rows [0, L) times X**L: the
-        table is enumerated by doubling, in about log2(p**n) matrix
-        products mod p. Entries stay below p, so every sum of products is
-        below n * p**2 < 2**63.
+        Built once by antilog_table on the modulus this field proved
+        primitive, then cached.
         """
         if self._table is None:
-            if self.order > _POWER_TABLE_LIMIT:
-                raise ValueError(f"field order {self.order + 1} too large to tabulate")
-            p, n = self.p, self.n
-            step = np.zeros((n, n), dtype=np.int64)
-            step[np.arange(n - 1), np.arange(1, n)] = 1  # x * x**i = x**(i+1)
-            step[n - 1] = [-c % p for c in self.modulus.coeffs[:n]]  # x**n mod the monic modulus
-            table = np.zeros((self.order, n), dtype=np.int64)
-            table[0, 0] = 1
-            filled = 1
-            while filled < self.order:
-                count = min(filled, self.order - filled)
-                table[filled : filled + count] = table[:count] @ step % p
-                step = step @ step % p
-                filled += count
-            table.flags.writeable = False
-            self._table = table
+            self._table = antilog_table(self.modulus)
         return self._table
 
     def __repr__(self) -> str:

@@ -67,7 +67,12 @@ def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
 
 
 def read_pgm(data: bytes) -> GrayImage:
-    """Parse a binary (P5) or ASCII (P2) PGM with maxval 255."""
+    """Parse a binary (P5) or ASCII (P2) PGM with maxval 255.
+
+    A P5 raster is not copied: the pixels are a read-only view of the
+    width * height bytes that follow the header in `data`, and any bytes
+    after them are ignored.
+    """
     if data[:2] not in (b"P5", b"P2"):
         raise ValueError(f"unsupported PGM magic {data[:2]!r}")
     magic = data[:2]
@@ -82,10 +87,9 @@ def read_pgm(data: bytes) -> GrayImage:
         raise ValueError(f"only maxval 255 is supported, got {maxval}")
     n = width * height
     if magic == b"P5":
-        raster = data[offset : offset + n]
-        if len(raster) != n:
-            raise ValueError(f"expected {n} raster bytes, got {len(raster)}")
-        pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+        if len(data) - offset < n:
+            raise ValueError(f"expected {n} raster bytes, got {len(data) - offset}")
+        pixels = np.frombuffer(data, dtype=np.uint8, count=n, offset=offset).reshape(height, width)
     else:
         fields = data[offset:].split()
         if len(fields) != n:
@@ -100,4 +104,4 @@ def read_pgm(data: bytes) -> GrayImage:
 def write_pgm(img: GrayImage) -> bytes:
     """Encode as binary P5, maxval 255, no comments. Bit-exact round trip."""
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.pixels.tobytes()
+    return b"".join((header, img.pixels.data))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .arrays import MAX_RANK, TernaryArray
 from .correlation import full_correlation
-from .fields import _POWER_TABLE_LIMIT, ExtField, Poly, _check_odd_prime, find_primitive_poly, is_primitive, quadratic_residues
+from .fields import _POWER_TABLE_LIMIT, Poly, _check_odd_prime, antilog_table, find_primitive_poly, is_primitive, quadratic_residues
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,9 @@ def legendre_array(params: LegendreParams) -> TernaryArray:
         return legendre_sequence(p, params.a)
     if not params.searched and not is_primitive(params.poly, n):
         raise ValueError(f"{params.poly} is not primitive of degree {n} over GF({p})")
-    field = ExtField(p, n, params.poly.monic_reciprocal())
-    coeffs = field.power_table()  # (p^n - 1, n), little-endian
-    signs = np.where(np.arange(field.order) % 2 == 0, 1, -1).astype(np.int8)
+    # the reciprocal of a primitive polynomial is primitive: no second proof
+    coeffs = antilog_table(params.poly.monic_reciprocal())  # (p^n - 1, n), little-endian
+    signs = np.where(np.arange(len(coeffs)) % 2 == 0, 1, -1).astype(np.int8)
     arr = np.zeros((p,) * n, dtype=np.int8)
     arr[(0,) * n] = params.a
     arr[tuple(coeffs[:, n - 1 - k] for k in range(n))] = signs

@@ -127,16 +127,28 @@ def tile_dims(member_dims: tuple[int, ...]) -> tuple[int, int]:
     return _fold_plan(member_dims)[1]
 
 
+# Largest number of tile rows whose uint8 column sums fit in uint32.
+_MAX_TILE_ROWS = (2**32 - 1) // 255
+
+
 def _fold_tiles(pixels: np.ndarray, th: int, tw: int) -> np.ndarray:
     """Sum of the whole (th, tw) tiles of `pixels` as one int64 period.
 
-    Partial tiles at the right and bottom edges are dropped. The sums are
-    taken tile rows first.
+    Partial tiles at the right and bottom edges are dropped. Two passes:
+    the tile rows are summed in uint32, which reads every pixel once, then
+    the tile columns of that one (th, width) band in int64. Each tile row
+    adds at most 255 to a uint32 sum, so the sums are exact up to
+    (2^32 - 1) // 255 = 16,843,009 tile rows; a taller carrier is refused
+    before any summing.
     """
     rows, cols = pixels.shape[0] // th, pixels.shape[1] // tw
+    if rows > _MAX_TILE_ROWS:
+        raise ValueError(
+            f"{rows} tile rows exceed {_MAX_TILE_ROWS}, the most whose sums fit in uint32"
+        )
     crop = pixels[: rows * th, : cols * tw]
-    by_row = crop.reshape(rows, th, cols * tw).sum(axis=0, dtype=np.int64)
-    return by_row.reshape(th, cols, tw).sum(axis=1)
+    by_row = crop.reshape(rows, th, cols * tw).sum(axis=0, dtype=np.uint32)
+    return by_row.reshape(th, cols, tw).sum(axis=1, dtype=np.int64)
 
 
 def embed(
@@ -145,7 +157,13 @@ def embed(
     """Add the shifted, flattened member over the whole image, tiled.
 
     Output pixel (r, c) = clamp(img(r, c) + strength * W[r mod th, c mod tw])
-    where W = flatten(cyclic_shift(member, payload.shifts)).
+    where W = flatten(cyclic_shift(member, payload.shifts)) and clamp is to
+    [0, 255]. Any strength >= 255 already drives every +1 cell to 255 and
+    every -1 cell to 0, so it is saturated at 255 and the int16 arithmetic
+    below never wraps. One (th, width) int16 band of strength * W is added
+    by broadcasting to each band of th carrier rows, into one int16 buffer;
+    the buffer is clipped in place and cast to uint8 once. That is three
+    passes over the pixels: add, clip, cast.
     """
     p = member.params.p
     if payload.m != member.m:
@@ -162,11 +180,15 @@ def embed(
         raise ValueError(
             f"image {img.width}x{img.height} smaller than one {tw}x{th} watermark tile"
         )
-    reps = (-(-img.height // th), -(-img.width // tw))
-    tiled = np.tile(w, reps)[: img.height, : img.width]
-    marked = np.clip(
-        img.pixels.astype(np.int16) + cfg.strength * tiled.astype(np.int16), 0, 255
+    height, width = img.height, img.width
+    band = np.tile(w.astype(np.int16) * min(cfg.strength, 255), (1, -(-width // tw)))[:, :width]
+    marked = np.empty((height, width), dtype=np.int16)
+    whole = height - height % th
+    np.add(
+        img.pixels[:whole].reshape(-1, th, width), band, out=marked[:whole].reshape(-1, th, width)
     )
+    np.add(img.pixels[whole:], band[: height - whole], out=marked[whole:])
+    np.clip(marked, 0, 255, out=marked)
     return GrayImage(marked.astype(np.uint8))
 
 
@@ -176,7 +198,8 @@ def extract(
     """Recover (member, shifts) from a marked image by correlation peak search.
 
     The image is cropped to whole tiles, the tiles are summed into one
-    integer period (coherent gain), and the period is partitioned back into
+    integer period (coherent gain; `_fold_tiles` refuses carriers of more
+    than 16,843,009 tile rows), and the period is partitioned back into
     rank 2n. Every member is a shear of the family's base array, so all p
     exact integer tables come from p + 1 products of p^n x p^n matrices, in
     float64 while sum|period| < 2^53 (`member_tables`). The carrier's DC

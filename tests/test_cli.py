@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from legarray import arrays, correlation, family, images
+from legarray import arrays, correlation, family, images, watermark
 from legarray.cli import build_parser, main
 
 from cli_usage_text import CLI_USAGE
@@ -398,6 +398,26 @@ class TestWatermarkCommands:
             assert expected[0] == 0
         result = json.loads(usual[1][1])
         assert (result["m"], result["shifts"], result["confident"]) == (3, [1, 4, 0, 2], True)
+
+    @pytest.mark.parametrize("strength", [32767, 40000])
+    def test_embed_saturates_large_strength(self, capsys, tmp_path, family_3_2, strength):
+        # clamp(250 + strength * W) is 255, 250 or 0 for W = +1, 0, -1; int16
+        # arithmetic once wrapped the first to 0 and overflowed on the second
+        carrier = tmp_path / "in.pgm"
+        carrier.write_bytes(
+            images.write_pgm(images.GrayImage(np.full((27, 27), 250, dtype=np.uint8)))
+        )
+        marked = tmp_path / "marked.pgm"
+        code, _, err = run(
+            capsys, "embed", "--image", str(carrier), "--p", "3", "--n", "2",
+            "--poly", "2,2,1", "--m", "1", "--shifts", "1,2,0,1",
+            "--strength", str(strength), "--out", str(marked),
+        )
+        assert (code, err) == (0, "")
+        w = watermark.flatten(family_3_2[1].arr.cyclic_shift((1, 2, 0, 1))).values
+        expected = np.select([w > 0, w < 0], [255, 0], 250)
+        got = images.read_pgm(marked.read_bytes()).pixels
+        assert np.array_equal(got, np.tile(expected, (3, 3)))
 
     def test_embed_validates_shifts(self, capsys, tmp_path):
         carrier = tmp_path / "in.pgm"

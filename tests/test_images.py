@@ -54,6 +54,16 @@ class TestPgm:
         img = GrayImage(np.full((1, 2), ord("#"), dtype=np.uint8))
         assert read_pgm(write_pgm(img)) == img
 
+    def test_trailing_bytes_ignored(self):
+        img = random_image(np.random.default_rng(11), 3, 4)
+        assert read_pgm(write_pgm(img) + b"\x00trailer\n") == img
+
+    @pytest.mark.parametrize("missing", [1, 12])
+    def test_truncated_raster_message(self, missing):
+        data = write_pgm(random_image(np.random.default_rng(13), 3, 4))
+        with pytest.raises(ValueError, match=f"^expected 12 raster bytes, got {12 - missing}$"):
+            read_pgm(data[:-missing])
+
     @pytest.mark.parametrize(
         "data",
         [

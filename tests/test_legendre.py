@@ -142,7 +142,9 @@ class TestValidation:
             legendre_array(LegendreParams(p=3, n=2, poly=Poly((1, 0, 1), 3)))
 
     def test_tests_only_a_supplied_poly(self, monkeypatch):
-        # a searched polynomial is proved by find_primitive_poly itself
+        # a searched polynomial is proved by find_primitive_poly itself, and
+        # a supplied one once: its reciprocal is not proved again
+        import legarray.fields as fields_mod
         import legarray.legendre as legendre_mod
 
         tested = []
@@ -152,9 +154,15 @@ class TestValidation:
             return is_primitive(poly, n)
 
         monkeypatch.setattr(legendre_mod, "is_primitive", counting_is_primitive)
+        monkeypatch.setattr(fields_mod, "is_primitive", counting_is_primitive)
         searched = LegendreParams(p=5, n=2).resolve()
         assert searched.searched
+        search_calls = list(tested)
+        assert search_calls[-1] == searched.poly
+        tested.clear()
         legendre_array(LegendreParams(p=5, n=2))
+        assert tested == search_calls
+        tested.clear()
         legendre_array(searched)
         assert tested == []
         supplied = LegendreParams(p=5, n=2, poly=searched.poly)

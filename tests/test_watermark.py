@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -13,9 +14,9 @@ from legarray.correlation import (
     member_tables,
     verify_family,
 )
-from legarray.images import GrayImage
+from legarray.images import GrayImage, write_pgm
 from legarray.legendre import LegendreParams, legendre_array
-from legarray.family import build_family
+from legarray.family import build_family, build_member
 from legarray.watermark import (
     EmbedConfig,
     Payload,
@@ -25,6 +26,7 @@ from legarray.watermark import (
     tile_dims,
     unflatten,
     _flatten_values,
+    _MAX_TILE_ROWS,
     _fold_tiles,
     _unflatten_values,
 )
@@ -160,6 +162,23 @@ class TestFoldTiles:
         assert folded.dtype == np.int64 and folded.shape == tile
         assert np.array_equal(folded, expected)
 
+    def test_uint32_sums_exact_at_the_bound(self):
+        # every column sum of a 255 carrier with _MAX_TILE_ROWS tile rows is
+        # 2^32 - 1: the largest uint32, so none wraps
+        pixels = np.broadcast_to(np.uint8(255), (_MAX_TILE_ROWS, 2))
+        folded = _fold_tiles(pixels, 1, 1)
+        assert folded.dtype == np.int64
+        assert folded.tolist() == [[2 * (2**32 - 1)]]
+
+    def test_refuses_one_tile_row_past_the_bound(self):
+        # zero strides: the 24.6 GB carrier is never allocated, and the
+        # refusal comes before any sum would read it
+        th, tw = 81, 9
+        pixels = np.broadcast_to(np.uint8(255), ((_MAX_TILE_ROWS + 1) * th, 2 * tw))
+        assert pixels.strides == (0, 0)
+        with pytest.raises(ValueError, match="16843010 tile rows exceed 16843009"):
+            _fold_tiles(pixels, th, tw)
+
 
 class TestEmbed:
     def test_strength_zero_is_identity(self, family_3_2):
@@ -182,6 +201,25 @@ class TestEmbed:
         w = flatten(family_3_2[2].arr.cyclic_shift(payload.shifts)).values
         expected = strength * np.tile(w, (5, 5))
         assert np.array_equal(diff, expected)
+
+    @pytest.mark.parametrize("strength", [0, 1, 3, 254, 255, 256, 32767, 40000, 10**9])
+    @pytest.mark.parametrize(
+        "shape", [(9, 9), (13, 10), (17, 31), (100, 77)], ids=lambda s: f"{s[0]}x{s[1]}"
+    )
+    def test_equals_clamped_tiled_sum(self, family_3_2, shape, strength):
+        # int64 reference of the docstring formula; (13, 10) and (17, 31)
+        # are under two tiles tall, and no side but (9, 9)'s is a tile multiple
+        rng = np.random.default_rng(sum(shape) + strength % 1000)
+        pixels = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        payload = Payload(m=2, shifts=tuple(int(s) for s in rng.integers(0, 3, size=4)))
+        out = embed(GrayImage(pixels), family_3_2[2], payload, EmbedConfig(strength))
+        w = flatten(family_3_2[2].arr.cyclic_shift(payload.shifts)).values.astype(np.int64)
+        reps = (-(-shape[0] // 9), -(-shape[1] // 9))
+        expected = np.clip(
+            pixels.astype(np.int64) + strength * np.tile(w, reps)[: shape[0], : shape[1]], 0, 255
+        )
+        assert out.pixels.dtype == np.uint8
+        assert np.array_equal(out.pixels, expected)
 
     def test_validation(self, family_3_2):
         member = family_3_2[1]
@@ -382,3 +420,27 @@ def test_extract_output_is_pinned(p, n):
     for kind, pixels in carriers.items():
         got = extract(GrayImage(pixels), family).to_json_dict()
         assert got == PINNED_EXTRACTS[(p, n, kind)], kind
+
+
+# sha256 of write_pgm(embed(...)) on a seeded 1024^2 noise carrier at the
+# watermark benchmark's five rungs, recorded before embed added one band by
+# broadcasting: the marked PGM is pinned byte for byte. The noise spans
+# 0-255, so clamping at both ends is part of what is pinned.
+PINNED_EMBED_SHA256 = {
+    (3, 2): "87efc0f688793cf404e2212753e1e45aa535b7a84f2854bba986ec8d13fdb476",
+    (5, 2): "6777821b6e94f465905a5533c17f2aba9d5a28a1e2d7720747fcfde6be73e230",
+    (7, 2): "d35998f0d52a83241e2f5f2ad4e52c69e904627d099570369282f21e54bc9349",
+    (13, 2): "f992e43717fc0daef8033a9bbb0d7773510975975f8f7cc1aff52152a528b42d",
+    (3, 4): "aff97b8396aca9d65d730673bf8ef1e9a6c56fa94821aab0a7d3e9e5bbd31a34",
+}
+
+
+@pytest.mark.parametrize("p,n", list(PINNED_EMBED_SHA256))
+def test_embed_output_is_pinned(p, n):
+    params = LegendreParams(p, n).resolve()
+    base = legendre_array(params)
+    rng = np.random.default_rng(2000 * p + n)
+    carrier = rng.integers(0, 256, size=(1024, 1024), dtype=np.uint8)
+    payload = Payload(int(rng.integers(p)), tuple(rng.integers(p, size=2 * n)))
+    marked = embed(GrayImage(carrier), build_member(base, payload.m, params), payload)
+    assert hashlib.sha256(write_pgm(marked)).hexdigest() == PINNED_EMBED_SHA256[(p, n)]
