@@ -10,14 +10,18 @@ the identity). Three kernels compute such tables exactly:
 * `full_correlation`, the oracle, evaluates this sum in integer arithmetic;
   `corr` and the reference `verify_autocorrelation`/`verify_cross_correlation`
   use it.
-* `member_tables` correlates a rank-2n integer array X with every shear
+* `member_products` correlates a rank-2n integer array X with every shear
   S_m(x, y) = A(x) * A(y - m*x) of a rank-n base A: with X as a p^n x p^n
   matrix, H[s, y] = A(y + s) and C = X @ H, theta_{X,S_m}(s, t) =
-  (H @ C_m)[s, t - m*s] where C_m[y, u] = C[y, u - m*y], so p + 1 products
-  give all p tables. Their entries and partial sums are integers bounded
-  by sum|X| * max|A|**2: float64 BLAS products are exact below 2**53 in
-  any summation order, int64 ones up to 2**63 - 1. `extract` runs it on
-  the folded period, `verify_family` on S_0: since theta_{S_m,S_m'}(s, t)
+  (H @ C_m)[s, t - m*s] where C_m[y, u] = C[y, u - m*y] = C_{m-1}[y, u - y],
+  so p + 1 products give all p tables, each in sheared order. H and the
+  one shear index come from the addition table of Z_p^n. Every entry and
+  partial sum is an integer bounded by sum|X| * max|A|**2, so the BLAS
+  products are exact in any summation order in float32 below 2**24, in
+  float64 below 2**53, and in int64 up to 2**63 - 1. `member_tables`
+  reads them back into table order as int64. `extract` reads its peak and
+  sum of squares from the products of the folded period directly;
+  `verify_family` runs `member_tables` on S_0: since theta_{S_m,S_m'}(s, t)
   = theta_{S_0,S_d}(s, t - m*s) with d = m' - m, a bijection that fixes
   the zero shift, the p tables of S_0 give one bound report per d, and
   each pair's report is its d's with the attaining shifts mapped back.
@@ -128,41 +132,97 @@ def shear(base: np.ndarray, m: int) -> np.ndarray:
     return base.reshape(base.shape + (1,) * base.ndim) * base[y_minus_mx]
 
 
-def _shear_indices(p: int, n: int) -> list[np.ndarray]:
-    """Entry s*q + t of the k-th of these p arrays is the flat index of
-    (s, t - k*s) in a q x q grid, q = p^n."""
-    flat = np.arange(p ** (2 * n)).reshape((p,) * (2 * n))
-    s, t_minus_s = _sheared_index(p, n, -1)
-    step = flat[s + t_minus_s].reshape(-1)
-    indices = [flat.reshape(-1)]
+def _shear_tables(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The addition table of Z_p^n and the shear step, on flat C-order
+    indices, q = p^n. Entry [y, s] of the q x q addition table is the index
+    of y + s: one broadcast sum per digit, with only the p x p digit table
+    reduced mod p. Entry y*q + u of the step is the flat index of
+    (y, u - y) in a q x q grid, read from row -y of the addition table,
+    which is the column where row y holds 0."""
+    digit = np.add.outer(np.arange(p), np.arange(p)) % p
+    add = digit
+    for _ in range(n - 1):
+        k = len(add)
+        add = (add[:, None, :, None] * p + digit[:, None, :]).reshape(k * p, k * p)
+    q = len(add)
+    minus_y = add.argmin(axis=1)
+    return add, (np.arange(0, q * q, q)[:, None] + add[minus_y]).reshape(-1)
+
+
+def _shear_indices(step: np.ndarray, p: int) -> list[np.ndarray]:
+    """The shear step applied k = 0 .. p - 1 times: entry s*q + t of the
+    k-th array is the flat index of (s, t - k*s) in a q x q grid."""
+    indices = [np.arange(step.size)]
     while len(indices) < p:
         indices.append(step[indices[-1]])
     return indices
 
 
-def _tables(x, base, indices, bound) -> Iterator[np.ndarray]:
-    # H[s, y] = A(y + s); every partial sum is an integer of magnitude <= bound
-    q, dtype = base.size, np.float64 if bound < 2**53 else np.int64
-    h = base[_sheared_index(base.shape[0], base.ndim, 1)[1]].reshape(q, q).astype(dtype)
+def _products(x, base, bound, add, step) -> Iterator[np.ndarray]:
+    # H[s, y] = A(y + s), C = X @ H and C_m[y, u] = C_{m-1}[y, u - y]; every
+    # partial sum is an integer of magnitude <= bound, exact in the dtype
+    p, q = base.shape[0], base.size
+    dtype = np.float32 if bound < 2**24 else np.float64 if bound < 2**53 else np.int64
+    h = base.reshape(-1)[add].astype(dtype)
     c = np.matmul(x.reshape(q, q).astype(dtype), h).reshape(-1)
-    for idx in indices:
-        product = np.matmul(h, c[idx].reshape(q, q)).reshape(-1)
-        yield product[idx].astype(np.int64).reshape(x.shape)
+    for m in range(p):
+        yield np.matmul(h, c.reshape(q, q))
+        if m < p - 1:
+            c = c[step]
+
+
+def _checked(x, base) -> tuple[np.ndarray, np.ndarray, int]:
+    # x and A as int64, and the bound sum|x| * max|A|**2, refused past int64
+    x, base = np.asarray(x), np.asarray(base)
+    if x.shape != base.shape * 2:
+        raise ValueError(f"dimension mismatch: {x.shape} vs the members' {base.shape * 2}")
+    for values in (x, base):
+        if not np.issubdtype(values.dtype, np.integer):
+            raise ValueError(f"entries must be integers, got dtype {values.dtype}")
+    x, base = x.astype(np.int64, copy=False), base.astype(np.int64, copy=False)
+    bound = _theta_bound(x, base) * int(_magnitudes(base).max())
+    _check_int64(bound)
+    return x, base, bound
+
+
+def member_products(x, base) -> Iterator[np.ndarray]:
+    """The raw products P_m = H @ C_m, for m = 0 .. p - 1 in order, of the
+    rank-2n integer array x against the shears S_m of the rank-n base A:
+    q x q arrays, q = p^n, in sheared coordinates, P_m[s, u] =
+    theta_{x,S_m}(s, t) with u = t - m*s (digitwise mod p), so each holds
+    its table's entries in another order. Every entry, and every partial
+    sum of the products, is an integer of magnitude at most
+    sum|x| * max|A|**2, so each product is exact in its dtype: float32
+    below 2**24, float64 below 2**53 and int64 up to 2**63 - 1. Beyond
+    that, and for non-integer x or A, the call refuses before any work;
+    the int64 refusal comes exactly when full_correlation would refuse x
+    against the members.
+    """
+    x, base, bound = _checked(x, base)
+    return _products(x, base, bound, *_shear_tables(base.shape[0], base.ndim))
+
+
+def _tables(x, base) -> tuple[Iterator[np.ndarray], list[np.ndarray]]:
+    # the products read back into table order, P_m[s, t - m*s] being
+    # theta_{x,S_m}(s, t), and the shear index arrays that did it
+    x, base, bound = _checked(x, base)
+    add, step = _shear_tables(base.shape[0], base.ndim)
+    indices = _shear_indices(step, base.shape[0])
+    products = _products(x, base, bound, add, step)
+    tables = (
+        product.reshape(-1)[idx].astype(np.int64).reshape(x.shape)
+        for product, idx in zip(products, indices)
+    )
+    return tables, indices
 
 
 def member_tables(x, base) -> Iterator[np.ndarray]:
     """Exact int64 tables theta_{x, S_m}, for m = 0 .. p - 1 in order, of the
-    rank-2n integer array x against the shears S_m of the rank-n base A.
-    The p + 1 products run in float64 while sum|x| * max|A|**2 < 2**53 and
-    in int64 up to 2**63 - 1; beyond that the call refuses, before any
-    work, exactly when full_correlation would refuse x against the members.
+    rank-2n integer array x against the shears S_m of the rank-n base A:
+    the `member_products`, each read back into table order. Refuses when
+    called, before any work, as they do.
     """
-    x, base = np.asarray(x, dtype=np.int64), np.asarray(base, dtype=np.int64)
-    if x.shape != base.shape * 2:
-        raise ValueError(f"dimension mismatch: {x.shape} vs the members' {base.shape * 2}")
-    bound = _theta_bound(x, base) * int(_magnitudes(base).max())
-    _check_int64(bound)
-    return _tables(x, base, _shear_indices(base.shape[0], base.ndim), bound)
+    return _tables(x, base)[0]
 
 
 def full_correlation_fast(a, b) -> IntArray:
@@ -359,12 +419,9 @@ def verify_family(
     Refuses origin value a != 0, as those do, before any table is made.
     """
     _check_auto(family.params)
-    # a ternary base keeps every partial sum within q**2: no refusal applies
-    base = family.base.values.astype(np.int64)
-    bound = _theta_bound(base, base) ** 2
+    base = family.base.values
     p, q = family.params.p, base.size
-    indices = _shear_indices(p, base.ndim)
-    tables = _tables(shear(base, 0), base, indices, bound)
+    tables, indices = _tables(shear(base, 0), base)
     by_d = [_bound_report(t, q, *((0, d) if d else (0,))) for d, t in enumerate(tables)]
 
     def moved(*ms: int) -> CorrelationReport:

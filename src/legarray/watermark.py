@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import TernaryArray
-from .correlation import member_tables
+from .correlation import member_products
 from .family import ArrayFamily, FamilyMember
 from .images import GrayImage
 
@@ -56,7 +56,8 @@ class ExtractionResult:
     """Decoded payload and the evidence for it.
 
     `score` is the peak correlation, an exact integer; `snr` is the peak
-    against the RMS of every other table entry, in float64.
+    against the RMS of every other table entry, from their exact integer
+    sum of squares.
     """
 
     payload: Payload
@@ -127,28 +128,47 @@ def tile_dims(member_dims: tuple[int, ...]) -> tuple[int, int]:
     return _fold_plan(member_dims)[1]
 
 
-# Largest number of tile rows whose uint8 column sums fit in uint32.
+# Largest numbers of tile rows whose uint8 column sums fit in uint32 and in
+# uint16.
 _MAX_TILE_ROWS = (2**32 - 1) // 255
+_BLOCK_ROWS = (2**16 - 1) // 255
 
 
 def _fold_tiles(pixels: np.ndarray, th: int, tw: int) -> np.ndarray:
     """Sum of the whole (th, tw) tiles of `pixels` as one int64 period.
 
     Partial tiles at the right and bottom edges are dropped. Two passes:
-    the tile rows are summed in uint32, which reads every pixel once, then
-    the tile columns of that one (th, width) band in int64. Each tile row
-    adds at most 255 to a uint32 sum, so the sums are exact up to
-    (2^32 - 1) // 255 = 16,843,009 tile rows; a taller carrier is refused
-    before any summing.
+    the tile rows are summed, which reads every pixel once, then the tile
+    columns of that one (th, width) band in int64. Each tile row adds at
+    most 255 to a column sum, so blocks of up to (2^16 - 1) // 255 = 257
+    tile rows are summed in uint16 and the blocks added in uint32, whose
+    sums are exact up to (2^32 - 1) // 255 = 16,843,009 tile rows; a
+    taller carrier is refused before any summing.
     """
     rows, cols = pixels.shape[0] // th, pixels.shape[1] // tw
     if rows > _MAX_TILE_ROWS:
         raise ValueError(
             f"{rows} tile rows exceed {_MAX_TILE_ROWS}, the most whose sums fit in uint32"
         )
-    crop = pixels[: rows * th, : cols * tw]
-    by_row = crop.reshape(rows, th, cols * tw).sum(axis=0, dtype=np.uint32)
+    band = pixels[: rows * th, : cols * tw].reshape(rows, th, cols * tw)
+    whole = rows - rows % _BLOCK_ROWS
+    by_row = band[whole:].sum(axis=0, dtype=np.uint16)
+    if whole:
+        blocks = band[:whole].reshape(-1, _BLOCK_ROWS, th, cols * tw)
+        by_row = blocks.sum(axis=1, dtype=np.uint16).sum(axis=0, dtype=np.uint32) + by_row
     return by_row.reshape(th, cols, tw).sum(axis=1, dtype=np.int64)
+
+
+def _energy(product: np.ndarray) -> int:
+    """Sum of the squares of the integer entries of `product`, exact. A
+    float64 dot is exact when its result is below 2**53: the squares are
+    nonnegative, so no partial sum exceeds the total. Beyond that, Python
+    ints."""
+    v = product.reshape(-1).astype(np.float64, copy=False)
+    total = float(np.dot(v, v))
+    if total < 2**53:
+        return int(total)
+    return sum(k * k for k in product.reshape(-1).astype(np.int64).tolist())
 
 
 def embed(
@@ -200,16 +220,24 @@ def extract(
     The image is cropped to whole tiles, the tiles are summed into one
     integer period (coherent gain; `_fold_tiles` refuses carriers of more
     than 16,843,009 tile rows), and the period is partitioned back into
-    rank 2n. Every member is a shear of the family's base array, so all p
-    exact integer tables come from p + 1 products of p^n x p^n matrices, in
-    float64 while sum|period| < 2^53 (`member_tables`). The carrier's DC
-    needs no removal: the base array sums to zero, so every member does
-    too. The returned score is the integer peak and the snr is the
-    peak against the RMS of all other correlation entries across every
-    member; results with snr below `snr_threshold` keep their payload but
-    are flagged not confident; a NaN threshold, which no snr reaches, is
-    refused. So are families with origin value a != 0: their members do
-    not sum to zero.
+    rank 2n. Every member is a shear of the family's base array A, so all p
+    tables come from p + 1 products of p^n x p^n matrices
+    (`member_products`), each exact in float32, float64 or int64 as the
+    bound sum|period| * max|A|^2 allows. First, each row x of the period,
+    read as a p^n x p^n matrix, has its floor mean c(x) subtracted: that
+    adds sum_x c(x) A(x + s) sum_y A(.) = 0 to every table entry, as A sums
+    to zero, and takes the carrier's mean level out of the bound, so that
+    the products of an 8-bit carrier mostly run in float32. The products
+    hold each table's entries in sheared order, (s, u) for (s, u + m*s),
+    which changes neither the maximum nor the sum of squares; a product's
+    peak is mapped back to its first table position in C order only when
+    it beats the best so far.
+    The returned score is the integer peak and the snr is the peak against
+    the RMS of all other correlation entries across every member, from
+    their exact integer sum of squares; results with snr below
+    `snr_threshold` keep their payload but are flagged not confident; a NaN
+    threshold, which no snr reaches, is refused. So are families with
+    origin value a != 0: their members do not sum to zero.
     """
     if family.params.a != 0:
         raise ValueError("extraction requires origin value a = 0")
@@ -221,33 +249,35 @@ def extract(
         raise ValueError(
             f"image {img.width}x{img.height} smaller than one {tw}x{th} watermark tile"
         )
-    period = _unflatten_values(_fold_tiles(img.pixels, th, tw), member_dims)
+    base = family.base.values
+    p, q, shape = family.params.p, base.size, base.shape
+    rows = _unflatten_values(_fold_tiles(img.pixels, th, tw), member_dims).reshape(q, q)
+    # centring each row leaves every table as it is, since A sums to zero
+    period = rows - rows.sum(axis=1, keepdims=True) // q
 
-    best_value = -np.inf
-    best_m = 0
-    best_shift = (0,) * len(member_dims)
-    total_sq = 0.0
-    total_count = 0
-    for m, table in enumerate(member_tables(period, family.base.values)):
-        total_sq += float(np.sum(np.square(table, dtype=np.float64)))
-        total_count += table.size
-        peak_idx = np.unravel_index(np.argmax(table), table.shape)
-        value = int(table[peak_idx])
-        if value > best_value:
-            best_value = value
-            best_m = m
-            best_shift = tuple(int(x) for x in peak_idx)
+    best, best_m, best_shift, energy = -math.inf, 0, (), 0
+    for m, product in enumerate(member_products(period.reshape(member_dims), base)):
+        energy += _energy(product)
+        s, u = divmod(int(np.argmax(product)), q)
+        value = int(product[s, u])
+        if value > best:
+            # product[s, u] is the table's entry (s, u + m*s): the table's
+            # first peak is in row s, at the least t among the row's ties
+            s_digits = np.unravel_index(s, shape)
+            ties = np.unravel_index(np.flatnonzero(product[s] == product[s, u]), shape)
+            t_digits = tuple(uk + m * sk for uk, sk in zip(ties, s_digits))
+            t = np.ravel_multi_index(t_digits, shape, mode="wrap").min()
+            best, best_m = value, m
+            best_shift = tuple(int(k) for k in s_digits + np.unravel_index(t, shape))
 
-    rest_sq = max(total_sq - best_value**2, 0.0)
-    rest_count = total_count - 1
-    rms = math.sqrt(rest_sq / rest_count) if rest_count > 0 else 0.0
+    rms = math.sqrt((energy - best**2) / (p * q * q - 1))
     if rms > 0:
-        snr = best_value / rms
+        snr = best / rms
     else:
-        snr = math.inf if best_value > 0 else 0.0
+        snr = math.inf if best > 0 else 0.0
     return ExtractionResult(
         payload=Payload(m=best_m, shifts=best_shift),
-        score=best_value,
+        score=best,
         snr=snr,
         confident=snr >= snr_threshold,
     )

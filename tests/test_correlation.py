@@ -21,6 +21,7 @@ from legarray.correlation import (
     cross_correlation_at,
     full_correlation,
     full_correlation_fast,
+    member_products,
     member_tables,
     shear,
     verify_autocorrelation,
@@ -367,7 +368,7 @@ def pair_tables(base, pairs):
     theta_{S_0,S_d}, d = m' - m, of `member_tables` on S_0: entry (s, t) is
     the d-table's at (s, t - m*s), which the m-th shear index array lists."""
     p = base.shape[0]
-    indices = correlation._shear_indices(p, base.ndim)
+    indices = correlation._shear_indices(correlation._shear_tables(p, base.ndim)[1], p)
     with oracle_refused():
         by_d = list(member_tables(shear(base, 0), base))
     return [np.take(by_d[(m2 - m) % p], indices[m]).reshape(by_d[0].shape) for m, m2 in pairs]
@@ -466,6 +467,13 @@ class TestShearedKernel:
         assert auto + cross == expected
         assert [r.to_json_dict() for r in auto + cross] == [r.to_json_dict() for r in expected]
 
+    @pytest.mark.parametrize("p,n", SHEARED_GRID + [(11, 2), (13, 2), (3, 4)])
+    def test_verify_family_products_run_in_float32(self, p, n):
+        # S_0 of a ternary base bounds every partial sum by (q - 1)**2 < 2**24
+        with product_dtypes() as dtypes:
+            verify_family(family_for(p, n))
+        assert dtypes == [np.float32] * (p + 1)
+
     @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (7, 2), (3, 3)])
     def test_one_bound_report_per_difference(self, p, n, monkeypatch):
         # p reports, one per d = m' - m, rather than p(p + 1)/2
@@ -493,12 +501,13 @@ def oracle_tables(x, base):
     ]
 
 
-def with_bound(rng, base, rank, bound):
-    """A random integer array of `rank` axes of extent p whose kernel bound
-    sum|x| * max|base|**2 is exactly `bound`; its first entry takes the slack."""
+def with_bound(rng, base, rank, bound, top=2**30):
+    """A random integer array of `rank` axes of extent p, entries below `top`
+    in magnitude but the first, whose kernel bound sum|x| * max|base|**2 is
+    exactly `bound`; its first entry takes the slack."""
     p, peak = base.shape[0], int(np.abs(base).max())
     assert bound % peak**2 == 0
-    x = rng.integers(-(2**30), 2**30, size=(p,) * rank)
+    x = rng.integers(-top, top, size=(p,) * rank)
     x.flat[0] = 0
     x.flat[0] = bound // peak**2 - abs_sum(x)
     assert x.flat[0] > 0 and abs_sum(x) * peak**2 == bound
@@ -539,7 +548,21 @@ def kernel_cases(draw):
 
 class TestMemberTablesKernel:
     """The matmul kernel at its precision boundaries, entry by entry against
-    the oracle: float64 products below 2**53, int64 up to 2**63 - 1."""
+    the oracle: float32 products below 2**24, float64 below 2**53, int64 up
+    to 2**63 - 1."""
+
+    @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (3, 3)])
+    @pytest.mark.parametrize("bound,dtype", [(2**24 - 1, np.float32), (2**24, np.float64)])
+    def test_float32_path_below_2_24(self, p, n, bound, dtype):
+        rng = np.random.default_rng(10 * p + n + bound % 2)
+        base = rng.integers(-1, 2, size=(p,) * n)
+        base.flat[0] = 1
+        x = with_bound(rng, base, 2 * n, bound, top=2**12)
+        with product_dtypes() as dtypes:
+            tables = list(member_tables(x, base))
+        assert dtypes == [dtype] * (p + 1)
+        for table, expected in zip(tables, oracle_tables(x, base), strict=True):
+            assert table.dtype == np.int64 and np.array_equal(table, expected)
 
     @pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
     def test_float_path_just_below_2_53(self, p, n):
@@ -593,6 +616,25 @@ class TestMemberTablesKernel:
     def test_dims_mismatch_refused(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             member_tables(np.zeros((3, 3, 3)), np.array([1, -1, 0]))
+
+    @pytest.mark.parametrize(
+        "x,base",
+        [
+            (np.full((3, 3), 0.9), np.array([0, 1, -1])),
+            (np.ones((3, 3), dtype=np.int64), np.array([0.0, 1.0, -1.0])),
+        ],
+    )
+    def test_non_integer_entries_refused_like_the_oracle(self, x, base):
+        # float entries are refused, not truncated to integers
+        message = "entries must be integers, got dtype float64"
+        with product_dtypes() as dtypes:
+            with pytest.raises(ValueError, match=message):
+                member_tables(x, base)
+            with pytest.raises(ValueError, match=message):
+                member_products(x, base)
+        assert dtypes == []
+        with pytest.raises(ValueError, match=message):
+            full_correlation(IntArray(x), IntArray(shear(base, 0)))
 
     @given(kernel_cases())
     @settings(max_examples=60, deadline=None)

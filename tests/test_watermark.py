@@ -19,6 +19,7 @@ from legarray.legendre import LegendreParams, legendre_array
 from legarray.family import build_family, build_member
 from legarray.watermark import (
     EmbedConfig,
+    ExtractionResult,
     Payload,
     embed,
     extract,
@@ -160,6 +161,18 @@ class TestFoldTiles:
         folded = _fold_tiles(pixels, *tile)
         expected = self.float_fold(pixels, *tile)
         assert folded.dtype == np.int64 and folded.shape == tile
+        assert np.array_equal(folded, expected)
+
+    @pytest.mark.parametrize("rows", [256, 257, 258, 514, 515])
+    def test_uint16_blocks_exact_at_the_block_boundary(self, rows):
+        # 257 tile rows of 255 sum to 2^16 - 1, the most a uint16 block holds
+        th, tw = 3, 2
+        pixels = np.full((rows * th + 2, 3 * tw + 1), 255, dtype=np.uint8)
+        pixels[-th:, :] = np.arange(pixels.shape[1], dtype=np.uint8)
+        crop = pixels[: rows * th, : 3 * tw].astype(np.int64)
+        expected = crop.reshape(rows, th, 3, tw).sum(axis=(0, 2))
+        folded = _fold_tiles(pixels, th, tw)
+        assert folded.dtype == np.int64
         assert np.array_equal(folded, expected)
 
     def test_uint32_sums_exact_at_the_bound(self):
@@ -385,10 +398,77 @@ class TestMemberTables:
         assert shapes == [(q, q)] * (p + 1)
 
 
+def reference_extract(img, family):
+    """extract by its definition, and the sum of squares of each table: the
+    int64 tables of member_tables on the folded period, the first peak in
+    (m, C order) by np.argmax, and the energy summed in Python ints."""
+    dims = family.base.dims * 2
+    period = _unflatten_values(_fold_tiles(img.pixels, *tile_dims(dims)), dims)
+    tables = np.stack(list(member_tables(period, family.base.values)))
+    m, *shift = np.unravel_index(np.argmax(tables), tables.shape)
+    score = int(tables[(m, *shift)])
+    energies = [sum(v * v for v in table.reshape(-1).tolist()) for table in tables]
+    rms = math.sqrt((sum(energies) - score**2) / (tables.size - 1))
+    snr = score / rms if rms > 0 else (math.inf if score > 0 else 0.0)
+    payload = Payload(int(m), tuple(int(k) for k in shift))
+    return ExtractionResult(payload, score, snr, snr >= 4.0), energies
+
+
+@st.composite
+def tie_heavy_carriers(draw):
+    """A one-tile carrier whose period, read as a p^n x p^n matrix, has {0, 1}
+    or constant entries plus a random integer offset per row: its tables
+    tie heavily, and the offsets are what extract's row centring removes."""
+    p, n = draw(st.sampled_from([(3, 1), (3, 2), (5, 2), (3, 3)]))
+    q = p**n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rows = rng.integers(0, 2, size=(q, q))
+    else:
+        rows = np.full((q, q), rng.integers(0, 2))
+    rows += rng.integers(0, draw(st.sampled_from([1, 2, 255])), size=(q, 1))
+    tile = _flatten_values(rows.reshape((p,) * (2 * n)))
+    return GrayImage(tile.astype(np.uint8)), family_for(p, n)
+
+
+class TestExtractAgainstReference:
+    """extract reads the raw products; the reference reads the tables."""
+
+    @given(tie_heavy_carriers())
+    @settings(max_examples=80, deadline=None)
+    def test_tie_heavy_periods(self, case):
+        img, family = case
+        assert extract(img, family) == reference_extract(img, family)[0]
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (13, 2), (3, 4)])
+    def test_watermark_rungs_on_seeded_carriers(self, p, n):
+        family = family_for(p, n)
+        th, tw = tile_dims(family[0].arr.dims)
+        rng = np.random.default_rng(3000 * p + n)
+        carrier = rng.integers(0, 256, size=(2 * th + 3, 3 * tw + 5), dtype=np.uint8)
+        payload = Payload(int(rng.integers(p)), tuple(rng.integers(p, size=2 * n)))
+        marked = embed(GrayImage(carrier), family[payload.m], payload).pixels
+        for pixels in (marked, carrier, marked[2:, 1:]):
+            img = GrayImage(np.ascontiguousarray(pixels))
+            assert extract(img, family) == reference_extract(img, family)[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_snr_energy_exact_beyond_2_53(self, family_3_2, seed):
+        # a saturated mark on noise over 133 x 133 tiles: every table's sum of
+        # squares is at least 2**53, where a float64 sum of the squares rounds
+        rng = np.random.default_rng(seed)
+        carrier = GrayImage(rng.integers(0, 256, size=(133 * 9, 133 * 9), dtype=np.uint8))
+        marked = embed(carrier, family_3_2[1], Payload(1, (1, 2, 0, 1)), EmbedConfig(255))
+        expected, energies = reference_extract(marked, family_3_2)
+        assert min(energies) >= 2**53
+        assert extract(marked, family_3_2) == expected
+
+
 # extract(...).to_json_dict() recorded once the tables became exact integers
 # computed from the base array's spectrum. score is the integer peak; snr is
-# float64 over those integers, and floats compare with ==, so any change to
-# the order of the sum of squares shows. The confident result on the
+# computed from the exact integer sum of squares, which no summation order
+# changes, and floats compare with ==, so any change to that sum or to the
+# float steps after it shows. The confident result on the
 # unmarked (5,2) carrier is the known confident-wrong defect, and off-grid
 # crops recover the member but not the shifts; both are pinned as they are.
 PINNED_EXTRACTS = {
