@@ -15,6 +15,14 @@ MAX_RANK = 8
 
 _RENDER_MAP = {-1: 255, 0: 128, 1: 0}
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _check_int64_entries(values: np.ndarray) -> None:
+    # only uint64 holds integers beyond int64, which a cast would wrap
+    if values.dtype == np.uint64 and values.size and values.max() > _INT64_MAX:
+        raise ValueError(f"entry {values[values > _INT64_MAX].flat[0]} is outside the int64 range")
+
 
 class _NdArray:
     """Shared container behavior; subclasses fix dtype and entry domain."""
@@ -26,6 +34,7 @@ class _NdArray:
         wide = np.asarray(values)
         if not np.issubdtype(wide.dtype, np.integer):
             raise ValueError(f"entries must be integers, got dtype {wide.dtype}")
+        _check_int64_entries(wide)
         if wide.ndim < 1:
             raise ValueError("rank must be >= 1")
         if wide.ndim > MAX_RANK:

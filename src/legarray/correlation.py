@@ -14,17 +14,17 @@ the identity). Three kernels compute such tables exactly:
   S_m(x, y) = A(x) * A(y - m*x) of a rank-n base A: with X as a p^n x p^n
   matrix, H[s, y] = A(y + s) and C = X @ H, theta_{X,S_m}(s, t) =
   (H @ C_m)[s, t - m*s] where C_m[y, u] = C[y, u - m*y] = C_{m-1}[y, u - y],
-  so p + 1 products give all p tables, each in sheared order. H and the
-  one shear index come from the addition table of Z_p^n. Every entry and
-  partial sum is an integer bounded by sum|X| * max|A|**2, so the BLAS
-  products are exact in any summation order in float32 below 2**24, in
-  float64 below 2**53, and in int64 up to 2**63 - 1. `member_tables`
-  reads them back into table order as int64. `extract` reads its peak and
-  sum of squares from the products of the folded period directly;
-  `verify_family` runs `member_tables` on S_0: since theta_{S_m,S_m'}(s, t)
-  = theta_{S_0,S_d}(s, t - m*s) with d = m' - m, a bijection that fixes
-  the zero shift, the p tables of S_0 give one bound report per d, and
-  each pair's report is its d's with the attaining shifts mapped back.
+  so p + 1 products give all p tables, each in sheared order. The
+  addition table of Z_p^n gives H and every shear index, (s, t) ->
+  (s, t - m*s) on flat indices, used by `shear`, the C_m chain,
+  `member_tables` and `verify_family` alike. Every entry and partial sum
+  is an integer bounded by sum|X| * max|A|**2, so the BLAS products are
+  exact in any summation order in float32 below 2**24, in float64 below
+  2**53, and in int64 up to 2**63 - 1. `member_tables` reads them back
+  into table order as int64. `extract` reads its peak and sum of squares
+  from the products of the folded period directly, and `verify_family`
+  its bound reports from the products of S_0: theta_{S_m,S_m'}(s, t) is
+  product m' - m at (s, t - m'*s), a bijection that fixes the zero shift.
 * `full_correlation_fast`, the FFT kernel of `corr --fast`, rounds its
   table to int64 behind a 2**53 refusal and a residual check.
 """
@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arrays import IntArray
+from .arrays import IntArray, _check_int64_entries
 from .fields import _check_odd_prime
 
 if TYPE_CHECKING:
@@ -119,52 +119,49 @@ def full_correlation(a, b) -> IntArray:
     return IntArray(_correlate(a.values, b.values))
 
 
-def _sheared_index(p: int, n: int, k: int) -> tuple[tuple, tuple]:
-    """Index arrays r and (c + k*r) mod p over the 2n axes (r, c) of
-    Z_p^n x Z_p^n. They broadcast, so no p^(2n)-cell index grid is built."""
-    idx = np.ogrid[(slice(0, p),) * (2 * n)]
-    return tuple(idx[:n]), tuple((idx[n + j] + k * idx[j]) % p for j in range(n))
-
-
-def shear(base: np.ndarray, m: int) -> np.ndarray:
-    """S_m(x, y) = A(x) * A(y - m*x) for the rank-n base A of extent p per axis."""
-    _, y_minus_mx = _sheared_index(base.shape[0], base.ndim, -m)
-    return base.reshape(base.shape + (1,) * base.ndim) * base[y_minus_mx]
-
-
-def _shear_tables(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The addition table of Z_p^n and the shear step, on flat C-order
-    indices, q = p^n. Entry [y, s] of the q x q addition table is the index
-    of y + s: one broadcast sum per digit, with only the p x p digit table
-    reduced mod p. Entry y*q + u of the step is the flat index of
-    (y, u - y) in a q x q grid, read from row -y of the addition table,
-    which is the column where row y holds 0."""
+def _addition_table(p: int, n: int) -> np.ndarray:
+    """The addition table of Z_p^n on flat C-order indices, q = p^n: entry
+    [y, s] of the q x q table is the index of y + s. One broadcast sum per
+    digit, with only the p x p digit table reduced mod p."""
     digit = np.add.outer(np.arange(p), np.arange(p)) % p
     add = digit
     for _ in range(n - 1):
         k = len(add)
         add = (add[:, None, :, None] * p + digit[:, None, :]).reshape(k * p, k * p)
+    return add
+
+
+def _shear_index(add: np.ndarray, p: int, m: int) -> np.ndarray:
+    """Entry s*q + t is the flat index of (s, t - m*s) in a q x q grid,
+    digitwise mod p: row s of the addition table `add` at the index of
+    -m*s, offset by s*q. The index of -m*s is one p-entry digit table,
+    widened per digit like `add`."""
     q = len(add)
-    minus_y = add.argmin(axis=1)
-    return add, (np.arange(0, q * q, q)[:, None] + add[minus_y]).reshape(-1)
+    digit = -m * np.arange(p) % p
+    minus_ms = digit
+    while len(minus_ms) < q:
+        minus_ms = (minus_ms[:, None] * p + digit).reshape(-1)
+    index = add[minus_ms]
+    index += np.arange(0, q * q, q)[:, None]  # in place: no second q*q array
+    return index.reshape(-1)
 
 
-def _shear_indices(step: np.ndarray, p: int) -> list[np.ndarray]:
-    """The shear step applied k = 0 .. p - 1 times: entry s*q + t of the
-    k-th array is the flat index of (s, t - k*s) in a q x q grid."""
-    indices = [np.arange(step.size)]
-    while len(indices) < p:
-        indices.append(step[indices[-1]])
-    return indices
+def shear(base: np.ndarray, m: int) -> np.ndarray:
+    """S_m(x, y) = A(x) * A(y - m*x) for the rank-n base A of extent p per
+    axis: the flat outer product A (x) A read through the shear index of m."""
+    p = base.shape[0]
+    index = _shear_index(_addition_table(p, base.ndim), p, m)
+    return np.outer(base, base).reshape(-1)[index].reshape(base.shape * 2)
 
 
-def _products(x, base, bound, add, step) -> Iterator[np.ndarray]:
+def _products(x, base, bound, add) -> Iterator[np.ndarray]:
     # H[s, y] = A(y + s), C = X @ H and C_m[y, u] = C_{m-1}[y, u - y]; every
     # partial sum is an integer of magnitude <= bound, exact in the dtype
     p, q = base.shape[0], base.size
     dtype = np.float32 if bound < 2**24 else np.float64 if bound < 2**53 else np.int64
     h = base.reshape(-1)[add].astype(dtype)
     c = np.matmul(x.reshape(q, q).astype(dtype), h).reshape(-1)
+    step = _shear_index(add, p, 1)
     for m in range(p):
         yield np.matmul(h, c.reshape(q, q))
         if m < p - 1:
@@ -179,6 +176,7 @@ def _checked(x, base) -> tuple[np.ndarray, np.ndarray, int]:
     for values in (x, base):
         if not np.issubdtype(values.dtype, np.integer):
             raise ValueError(f"entries must be integers, got dtype {values.dtype}")
+        _check_int64_entries(values)
     x, base = x.astype(np.int64, copy=False), base.astype(np.int64, copy=False)
     bound = _theta_bound(x, base) * int(_magnitudes(base).max())
     _check_int64(bound)
@@ -199,30 +197,22 @@ def member_products(x, base) -> Iterator[np.ndarray]:
     against the members.
     """
     x, base, bound = _checked(x, base)
-    return _products(x, base, bound, *_shear_tables(base.shape[0], base.ndim))
-
-
-def _tables(x, base) -> tuple[Iterator[np.ndarray], list[np.ndarray]]:
-    # the products read back into table order, P_m[s, t - m*s] being
-    # theta_{x,S_m}(s, t), and the shear index arrays that did it
-    x, base, bound = _checked(x, base)
-    add, step = _shear_tables(base.shape[0], base.ndim)
-    indices = _shear_indices(step, base.shape[0])
-    products = _products(x, base, bound, add, step)
-    tables = (
-        product.reshape(-1)[idx].astype(np.int64).reshape(x.shape)
-        for product, idx in zip(products, indices)
-    )
-    return tables, indices
+    return _products(x, base, bound, _addition_table(base.shape[0], base.ndim))
 
 
 def member_tables(x, base) -> Iterator[np.ndarray]:
     """Exact int64 tables theta_{x, S_m}, for m = 0 .. p - 1 in order, of the
     rank-2n integer array x against the shears S_m of the rank-n base A:
-    the `member_products`, each read back into table order. Refuses when
-    called, before any work, as they do.
+    the `member_products`, each read back into table order through the
+    shear index of its m. Refuses when called, before any work, as they do.
     """
-    return _tables(x, base)[0]
+    x, base, bound = _checked(x, base)
+    p = base.shape[0]
+    add = _addition_table(p, base.ndim)
+    return (
+        product.reshape(-1)[_shear_index(add, p, m)].astype(np.int64).reshape(x.shape)
+        for m, product in enumerate(_products(x, base, bound, add))
+    )
 
 
 def full_correlation_fast(a, b) -> IntArray:
@@ -343,8 +333,8 @@ class CorrelationReport:
 
 def _bound_report(table: np.ndarray, q: int, *ms: int) -> CorrelationReport:
     # One member index (auto) bounds every shift but the zero shift, flat
-    # index 0 in C order, by q - 1; two (cross) bound every shift by q + 1,
-    # where q = p^n is the field size.
+    # index 0 in C order and in sheared order, by q - 1; two (cross) bound
+    # every shift by q + 1, where q = p^n is the field size.
     auto = len(ms) == 1
     bound = q - 1 if auto else q + 1
     flat = table.reshape(-1)
@@ -412,22 +402,28 @@ def verify_family(
     """The auto report of every member and the cross report of every pair
     i < j, in family order, equal to verify_autocorrelation's and
     verify_cross_correlation's on the members, but from the family's base:
-    no member is built. The table of (m, m') is theta_{S_0,S_d}, d = m' - m,
-    re-indexed by (s, t) -> (s, t - m*s), a bijection fixing the zero shift.
-    So the `member_tables` kernel on S_0 gives p tables and p bound reports,
-    and each pair's report is its d's with the attaining shifts mapped back.
-    Refuses origin value a != 0, as those do, before any table is made.
+    no member is built. theta_{S_m,S_m'}(s, t) is entry (s, t - m'*s) of
+    the d-th raw `member_products` of S_0, d = m' - m, a bijection fixing
+    the zero shift: one bound report per d, made on the product itself,
+    serves every pair with that d, its attaining shifts mapped back through
+    the shear index of -m'. Refuses origin value a != 0, as those do, before
+    any table is made.
     """
     _check_auto(family.params)
-    base = family.base.values
-    p, q = family.params.p, base.size
-    tables, indices = _tables(shear(base, 0), base)
-    by_d = [_bound_report(t, q, *((0, d) if d else (0,))) for d, t in enumerate(tables)]
+    a = family.base.values
+    p, q = family.params.p, a.size
+    x, base, bound = _checked(np.multiply.outer(a, a), a)  # S_0(x, y) = A(x) * A(y)
+    add = _addition_table(p, a.ndim)
+    by_d = [
+        _bound_report(product.reshape(x.shape), q, *((0, d) if d else (0,)))
+        for d, product in enumerate(_products(x, base, bound, add))
+    ]
+    # entry s*q + u of back[m'] is the flat index of (s, u + m'*s)
+    back = [_shear_index(add, p, -m2) for m2 in range(p)]
 
     def moved(*ms: int) -> CorrelationReport:
-        m, report = ms[0], by_d[(ms[-1] - ms[0]) % p]
-        # indices[m] takes the pair's table from d's, and indices[-m] undoes it
-        flat = np.sort(indices[-m][report.peak_shifts.flat])
+        report = by_d[(ms[-1] - ms[0]) % p]
+        flat = np.sort(back[ms[-1]][report.peak_shifts.flat])
         return replace(
             report,
             members=ms,

@@ -55,6 +55,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IntArray(np.zeros((1,) * 9, dtype=np.int64))
 
+    @pytest.mark.parametrize("cls", [IntArray, TernaryArray])
+    @pytest.mark.parametrize("entry", [2**63, 2**64 - 1])
+    def test_uint64_entries_past_int64_refused(self, cls, entry):
+        # a cast would wrap them to negative int64 values
+        values = np.zeros((3, 3), dtype=np.uint64)
+        values[1, 2] = entry
+        with pytest.raises(ValueError, match=f"entry {entry} is outside the int64 range"):
+            cls(values)
+
+    def test_uint64_entries_at_int64_max_accepted(self):
+        arr = IntArray(np.full((3, 3), 2**63 - 1, dtype=np.uint64))
+        assert arr.values.dtype == np.int64
+        assert arr.values.tolist() == [[2**63 - 1] * 3] * 3
+
     def test_from_flat_checks_length(self):
         arr = TernaryArray.from_flat((2, 3), [1, 0, -1, 0, 1, 1])
         assert arr.dims == (2, 3)

@@ -366,15 +366,44 @@ def sheared_pairs(draw):
 def pair_tables(base, pairs):
     """theta_{S_m,S_m'} for each (m, m') in `pairs`, read from the d-table
     theta_{S_0,S_d}, d = m' - m, of `member_tables` on S_0: entry (s, t) is
-    the d-table's at (s, t - m*s), which the m-th shear index array lists."""
+    the d-table's at (s, t - m*s), which the shear index of m lists."""
     p = base.shape[0]
-    indices = correlation._shear_indices(correlation._shear_tables(p, base.ndim)[1], p)
+    add = correlation._addition_table(p, base.ndim)
     with oracle_refused():
         by_d = list(member_tables(shear(base, 0), base))
-    return [np.take(by_d[(m2 - m) % p], indices[m]).reshape(by_d[0].shape) for m, m2 in pairs]
+    return [
+        np.take(by_d[(m2 - m) % p], correlation._shear_index(add, p, m)).reshape(by_d[0].shape)
+        for m, m2 in pairs
+    ]
 
 
 SHEARED_GRID = [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3)]
+
+
+class TestShearIndex:
+    """The one shear index, (s, t) -> (s, t - m*s) on Z_p^n x Z_p^n, read
+    from the addition table."""
+
+    GRID = [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]
+
+    @pytest.mark.parametrize("p,n", GRID)
+    def test_entries_are_the_digitwise_shear(self, p, n):
+        add = correlation._addition_table(p, n)
+        idx = np.ogrid[(slice(0, p),) * (2 * n)]
+        s, t = idx[:n], idx[n:]
+        for m in range(p):
+            digits = np.broadcast_arrays(*s, *((tk - m * sk) % p for sk, tk in zip(s, t)))
+            expected = np.ravel_multi_index(digits, (p,) * (2 * n)).reshape(-1)
+            assert np.array_equal(correlation._shear_index(add, p, m), expected), m
+
+    @pytest.mark.parametrize("p,n", GRID)
+    def test_minus_m_undoes_m(self, p, n):
+        add = correlation._addition_table(p, n)
+        identity = np.arange(p ** (2 * n))
+        for m in range(p):
+            forward, back = (correlation._shear_index(add, p, k) for k in (m, -m))
+            assert np.array_equal(forward[back], identity), m
+            assert np.array_equal(back[forward], identity), m
 
 
 class TestShearedKernel:
@@ -473,6 +502,20 @@ class TestShearedKernel:
         with product_dtypes() as dtypes:
             verify_family(family_for(p, n))
         assert dtypes == [np.float32] * (p + 1)
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
+    def test_verify_family_reports_from_the_float32_products(self, p, n, monkeypatch):
+        # the raw products go to the bound reports: no re-index, no int64 cast
+        dtypes = []
+        real = correlation._bound_report
+
+        def recorded(table, q, *ms):
+            dtypes.append(table.dtype)
+            return real(table, q, *ms)
+
+        monkeypatch.setattr(correlation, "_bound_report", recorded)
+        verify_family(family_for(p, n))
+        assert dtypes == [np.float32] * p
 
     @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (7, 2), (3, 3)])
     def test_one_bound_report_per_difference(self, p, n, monkeypatch):
@@ -616,6 +659,25 @@ class TestMemberTablesKernel:
     def test_dims_mismatch_refused(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             member_tables(np.zeros((3, 3, 3)), np.array([1, -1, 0]))
+
+    @pytest.mark.parametrize("which", ["x", "base"])
+    def test_uint64_entries_past_int64_refused(self, which):
+        # a cast would wrap 2**63 to -2**63 and answer for another array
+        x, base = np.zeros((3, 3), dtype=np.uint64), np.array([0, 1, 1], dtype=np.uint64)
+        (x if which == "x" else base)[-1] = 2**63
+        with product_dtypes() as dtypes:
+            for kernel in (member_tables, member_products):
+                with pytest.raises(ValueError, match=f"entry {2**63} is outside the int64 range"):
+                    kernel(x, base)
+        assert dtypes == []
+
+    def test_uint64_entries_at_int64_max_accepted(self):
+        x = np.zeros((3, 3), dtype=np.uint64)
+        x[1, 2] = INT64_MAX
+        base = np.array([0, 1, -1])
+        tables = list(member_tables(x, base))
+        assert all(map(np.array_equal, tables, oracle_tables(x, base)))
+        assert tables[0][0, 0] == -INT64_MAX  # x(1, 2) * A(1) * A(2)
 
     @pytest.mark.parametrize(
         "x,base",

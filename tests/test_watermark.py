@@ -27,7 +27,6 @@ from legarray.watermark import (
     tile_dims,
     unflatten,
     _flatten_values,
-    _MAX_TILE_ROWS,
     _fold_tiles,
     _unflatten_values,
 )
@@ -176,21 +175,21 @@ class TestFoldTiles:
         assert np.array_equal(folded, expected)
 
     def test_uint32_sums_exact_at_the_bound(self):
-        # every column sum of a 255 carrier with _MAX_TILE_ROWS tile rows is
-        # 2^32 - 1: the largest uint32, so none wraps
-        pixels = np.broadcast_to(np.uint8(255), (_MAX_TILE_ROWS, 2))
+        # every column sum of a 255 carrier with (2^32 - 1) // 255 tile rows
+        # is 2^32 - 1, the most the blocks could add before they went int64
+        pixels = np.broadcast_to(np.uint8(255), (16_843_009, 2))
         folded = _fold_tiles(pixels, 1, 1)
         assert folded.dtype == np.int64
         assert folded.tolist() == [[2 * (2**32 - 1)]]
 
-    def test_refuses_one_tile_row_past_the_bound(self):
-        # zero strides: the 24.6 GB carrier is never allocated, and the
-        # refusal comes before any sum would read it
-        th, tw = 81, 9
-        pixels = np.broadcast_to(np.uint8(255), ((_MAX_TILE_ROWS + 1) * th, 2 * tw))
+    def test_int64_sums_exact_one_row_past_the_old_cap(self):
+        # zero strides: the 33.7 MB carrier is never allocated, and one tile
+        # row more than uint32 could hold still sums exactly
+        pixels = np.broadcast_to(np.uint8(255), (16_843_010, 2))
         assert pixels.strides == (0, 0)
-        with pytest.raises(ValueError, match="16843010 tile rows exceed 16843009"):
-            _fold_tiles(pixels, th, tw)
+        folded = _fold_tiles(pixels, 1, 1)
+        assert folded.dtype == np.int64
+        assert folded.tolist() == [[2 * 255 * 16_843_010]]
 
 
 class TestEmbed:
