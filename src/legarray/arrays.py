@@ -13,7 +13,7 @@ from .images import GrayImage
 
 MAX_RANK = 8
 
-_RENDER_MAP = {-1: 255, 0: 128, 1: 0}
+_RENDER_GRAY = np.array([255, 128, 0], dtype=np.uint8)  # gray of entry e at e + 1
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -219,9 +219,7 @@ def render(arr: TernaryArray | IntArray, scale: int = 1) -> GrayImage:
     v = arr.values
     if ((v < -1) | (v > 1)).any():
         raise ValueError("render requires ternary entries")
-    pixels = np.zeros(v.shape, dtype=np.uint8)
-    for entry, gray in _RENDER_MAP.items():
-        pixels[v == entry] = gray
+    pixels = _RENDER_GRAY[v + 1]
     if scale > 1:
         pixels = np.repeat(np.repeat(pixels, scale, axis=0), scale, axis=1)
     return GrayImage(pixels)

@@ -1,10 +1,12 @@
 """Arithmetic over GF(p) and GF(p^n) for array construction.
 
-Everything here is exact integer arithmetic sized for desk-scale parameters
-(p^n well below 2**63): deterministic trial division for primality and
-factoring, dense little-endian polynomial arithmetic, a multiplicative-order
-test for primitivity, and enumeration of the powers of the generator by
-doubling.
+Everything here is exact integer arithmetic: deterministic trial division
+for primality and factoring, and one representation of GF(p)[x]/(f), the
+companion matrix X of multiplication by x modulo the monic f. A row vector
+of coefficients times X is the element times x, so powers of X give the
+multiplicative-order test for primitivity, field products, and the powers
+of the generator by doubling. The antilog table proves its own modulus
+primitive from its rows.
 The primitive-polynomial search skips every constant term c_0 whose norm
 (-1)^n * c_0 is not a primitive root mod p; the order test stays the only
 authority on the candidates that remain.
@@ -126,18 +128,6 @@ class Poly:
         """Inverse of parse: 'c0,c1,...' constant term first."""
         return ",".join(str(c) for c in self.coeffs)
 
-    def monic_reciprocal(self) -> "Poly":
-        """The reversed-coefficient polynomial, scaled monic.
-
-        Requires a nonzero constant term. The roots of the result are the
-        inverses of the roots of self, so primitivity is preserved.
-        """
-        if self.coeffs[0] == 0:
-            raise ValueError("reciprocal undefined for zero constant term")
-        rev = tuple(reversed(self.coeffs))
-        inv_lead = pow(rev[-1], self.p - 2, self.p)
-        return Poly(tuple(c * inv_lead % self.p for c in rev), self.p)
-
     def __str__(self) -> str:
         terms = []
         for j in range(self.degree, -1, -1):
@@ -153,66 +143,58 @@ class Poly:
         return " + ".join(terms) if terms else "0"
 
 
-def _mul_mod(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
-    """Multiply little-endian coefficient tuples mod (modulus, p).
+def _check_monic(poly: Poly, n: int) -> None:
+    if poly.degree != n or not poly.is_monic:
+        raise ValueError(f"expected a monic polynomial of degree {n}, got {poly}")
 
-    modulus must be monic; the product is fully reduced to degree < deg(modulus).
+
+def _companion(modulus: Poly, n: int) -> np.ndarray:
+    """The (n, n) matrix X of multiplication by x modulo the monic `modulus`.
+
+    Row i is x**(i+1) mod `modulus`, so a row vector of little-endian
+    coefficients times X, mod p, is that element times x. Entries are below
+    p, and a product of two such matrices sums n terms below (p - 1)**2:
+    X is int64 while that stays below 2**63, and holds exact Python ints
+    (object dtype) beyond.
     """
-    n = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    for k in range(len(prod) - 1, n - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(n):
-                prod[k - n + j] = (prod[k - n + j] - c * modulus[j]) % p
-    prod = prod[: max(n, 1)]
-    return tuple(prod) + (0,) * (n - len(prod))
-
-
-def _pow_mod(base: tuple, e: int, modulus: tuple, p: int) -> tuple:
-    n = len(modulus) - 1
-    result = (1,) + (0,) * (n - 1)
-    acc = base
-    while e:
-        if e & 1:
-            result = _mul_mod(result, acc, modulus, p)
-        acc = _mul_mod(acc, acc, modulus, p)
-        e >>= 1
-    return result
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    _check_monic(modulus, n)
+    p = modulus.p
+    x = np.zeros((n, n), dtype=np.int64 if n * (p - 1) ** 2 < 2**63 else object)
+    x[np.arange(n - 1), np.arange(1, n)] = 1  # x * x**i = x**(i+1)
+    x[n - 1] = [-c % p for c in modulus.coeffs[:n]]  # x**n mod the monic modulus
+    return x
 
 
 def is_primitive(poly: Poly, n: int | None = None) -> bool:
     """True iff x generates the multiplicative group of GF(p)[x]/(poly).
 
     Tests that the order of x is exactly p**n - 1: x**(p**n - 1) == 1 and
-    x**((p**n - 1)/q) != 1 for every prime q dividing p**n - 1. When the
-    order is maximal the quotient ring is necessarily a field, so no
-    separate irreducibility check is needed.
+    x**((p**n - 1)/q) != 1 for every prime q dividing p**n - 1, from the
+    squares X**(2**k) of the companion matrix, made once for all exponents.
+    When the order is maximal the quotient ring is necessarily a field, so
+    no separate irreducibility check is needed.
     """
     if n is None:
         n = poly.degree
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    if poly.degree != n or not poly.is_monic:
-        raise ValueError(
-            f"expected a monic polynomial of degree {n}, got {poly}"
-        )
+    x = _companion(poly, n)
     p = poly.p
     order = p**n - 1
-    modulus = poly.coeffs
-    x = _mul_mod((0, 1), (1,), modulus, p)  # x mod poly; (-c0,) when n = 1
-    one = (1,) + (0,) * (n - 1)
-    if _pow_mod(x, order, modulus, p) != one:
-        return False
-    return all(
-        _pow_mod(x, order // q, modulus, p) != one
-        for q in _prime_divisors(order)
+    squares = [x]
+    for _ in range(order.bit_length() - 1):
+        squares.append(squares[-1] @ squares[-1] % p)
+    one = [1] + [0] * (n - 1)
+
+    def x_power_is_one(e: int) -> bool:
+        row = np.array(one, dtype=x.dtype)
+        for k, square in enumerate(squares):
+            if e >> k & 1:
+                row = row @ square % p
+        return row.tolist() == one
+
+    return x_power_is_one(order) and not any(
+        x_power_is_one(order // q) for q in _prime_divisors(order)
     )
 
 
@@ -241,30 +223,34 @@ def find_primitive_poly(p: int, n: int) -> Poly:
 def antilog_table(modulus: Poly) -> np.ndarray:
     """Read-only (p**n - 1, n) int64 array whose row i is x**i mod `modulus`.
 
-    `modulus` is monic of degree n and already known to be primitive; it is
-    not tested here, so the rows are the p**n - 1 distinct nonzero elements
-    only when the caller has proved that. A row vector times the matrix X
-    of multiplication by x is the next power, so rows [L, 2L) are rows
-    [0, L) times X**L: the table is enumerated by doubling, in about
-    log2(p**n) matrix products mod p. Entries stay below p, so every sum of
-    products is below n * p**2 < 2**63. Fields of order above
-    _POWER_TABLE_LIMIT are refused.
+    `modulus` must be monic of degree n >= 1. A row vector times the
+    companion matrix X is the next power, so rows [L, 2L) are rows [0, L)
+    times X**L: the table is enumerated by doubling, in about log2(p**n)
+    matrix products mod p. The rows then prove the modulus primitive, by
+    is_primitive's order test read off the table: the last row times X is
+    1, and row (p**n - 1)/q is not, for each prime q dividing p**n - 1. So
+    x has order exactly p**n - 1, and the rows are the p**n - 1 distinct
+    nonzero field elements. Any other modulus is refused, as are fields of
+    order above _POWER_TABLE_LIMIT.
     """
     p, n = modulus.p, modulus.degree
     order = p**n - 1
     if order > _POWER_TABLE_LIMIT:
         raise ValueError(f"field order {order + 1} too large to tabulate")
-    step = np.zeros((n, n), dtype=np.int64)
-    step[np.arange(n - 1), np.arange(1, n)] = 1  # x * x**i = x**(i+1)
-    step[n - 1] = [-c % p for c in modulus.coeffs[:n]]  # x**n mod the monic modulus
+    x = _companion(modulus, n)
     table = np.zeros((order, n), dtype=np.int64)
     table[0, 0] = 1
-    filled = 1
+    step, filled = x, 1
     while filled < order:
         count = min(filled, order - filled)
         table[filled : filled + count] = table[:count] @ step % p
         step = step @ step % p
         filled += count
+    one = table[0].tolist()
+    if (table[-1] @ x % p).tolist() != one or any(
+        table[order // q].tolist() == one for q in _prime_divisors(order)
+    ):
+        raise ValueError(f"{modulus} is not primitive of degree {n} over GF({p})")
     table.flags.writeable = False
     return table
 
@@ -301,8 +287,16 @@ class ExtField:
         return coeffs + (0,) * (self.n - len(coeffs))
 
     def mul(self, a, b) -> FieldElement:
-        """Product of two field elements (coefficient tuples or Polys)."""
-        return _mul_mod(self._coerce(a), self._coerce(b), self.modulus.coeffs, self.p)
+        """Product of two field elements (coefficient tuples or Polys).
+
+        a times the rows x**i * b, which are b times powers of X.
+        """
+        x = _companion(self.modulus, self.n)
+        a, b = (np.array(self._coerce(v), dtype=x.dtype) for v in (a, b))
+        rows = [b]
+        for _ in range(self.n - 1):
+            rows.append(rows[-1] @ x % self.p)
+        return tuple((a @ np.array(rows) % self.p).tolist())
 
     def power(self, i: int) -> FieldElement:
         """Coefficient tuple of alpha**i for 0 <= i < p**n - 1."""
@@ -321,8 +315,8 @@ class ExtField:
     def power_table(self) -> np.ndarray:
         """Read-only (p**n - 1, n) int64 array whose row i is alpha**i.
 
-        Built once by antilog_table on the modulus this field proved
-        primitive, then cached.
+        Built once by antilog_table, which proves the modulus primitive
+        again from its rows, then cached.
         """
         if self._table is None:
             self._table = antilog_table(self.modulus)

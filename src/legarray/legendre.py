@@ -9,14 +9,13 @@ autocorrelation equals exactly -1.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import MAX_RANK, TernaryArray
 from .correlation import full_correlation
-from .fields import _POWER_TABLE_LIMIT, Poly, _check_odd_prime, antilog_table, find_primitive_poly, is_primitive, quadratic_residues
+from .fields import _POWER_TABLE_LIMIT, Poly, _check_monic, _check_odd_prime, antilog_table, find_primitive_poly, quadratic_residues
 
 
 @dataclass(frozen=True)
@@ -25,16 +24,15 @@ class LegendreParams:
 
     `poly` must be monic primitive of degree n; it is ignored for n = 1,
     where quadratic residues are used directly. When omitted it defaults to
-    the deterministic find_primitive_poly(p, n). `searched` is True only on
-    the params `resolve()` returns with a polynomial it searched for, which
-    that search has proved primitive.
+    the deterministic find_primitive_poly(p, n). A supplied or searched
+    polynomial is proved primitive by the antilog table legendre_array
+    builds on it.
     """
 
     p: int
     n: int
     a: int = 0
     poly: Poly | None = None
-    searched: bool = dataclasses.field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_odd_prime(self.p)
@@ -53,9 +51,7 @@ class LegendreParams:
         """Fill in the default polynomial so downstream outputs are reproducible."""
         if self.n == 1 or self.poly is not None:
             return self
-        resolved = LegendreParams(self.p, self.n, self.a, find_primitive_poly(self.p, self.n))
-        object.__setattr__(resolved, "searched", True)
-        return resolved
+        return LegendreParams(self.p, self.n, self.a, find_primitive_poly(self.p, self.n))
 
 
 def legendre_sequence(p: int, a: int = 0) -> TernaryArray:
@@ -73,12 +69,13 @@ def legendre_sequence(p: int, a: int = 0) -> TernaryArray:
 def legendre_array(params: LegendreParams) -> TernaryArray:
     """Rank-n array of extent p per axis built from GF(p^n).
 
-    Cell coordinates are the coefficient vectors of the powers of the
-    generator, highest-power coefficient first, expanded modulo the monic
-    reciprocal of params.poly. The reciprocal-basis convention is pinned by
-    the golden fixtures in the test suite; supplying the reciprocal
-    polynomial yourself yields the same cells relabeled. The sign of a cell
-    is +1 for even exponents, -1 for odd; the origin holds params.a.
+    The cell at the little-endian coefficients of x**j mod params.poly
+    holds (-1)**(j + n - 1), the origin params.a; the antilog table refuses
+    a polynomial that is not primitive. This is the classical layout of the
+    generator's powers modulo the monic reciprocal of params.poly, highest
+    power first: its i-th power has the coefficients of x**(n - 1 - i), and
+    p**n - 1 is even. The golden fixtures in the test suite pin it;
+    supplying the reciprocal polynomial yourself relabels the cells.
     """
     # refuse before the primitive-polynomial search and the antilog table
     if params.n > MAX_RANK:
@@ -87,14 +84,12 @@ def legendre_array(params: LegendreParams) -> TernaryArray:
     p, n = params.p, params.n
     if n == 1:
         return legendre_sequence(p, params.a)
-    if not params.searched and not is_primitive(params.poly, n):
-        raise ValueError(f"{params.poly} is not primitive of degree {n} over GF({p})")
-    # the reciprocal of a primitive polynomial is primitive: no second proof
-    coeffs = antilog_table(params.poly.monic_reciprocal())  # (p^n - 1, n), little-endian
-    signs = np.where(np.arange(len(coeffs)) % 2 == 0, 1, -1).astype(np.int8)
+    _check_monic(params.poly, n)
+    coeffs = antilog_table(params.poly)  # (p^n - 1, n), little-endian
+    signs = np.where((np.arange(len(coeffs)) + n - 1) % 2 == 0, 1, -1).astype(np.int8)
     arr = np.zeros((p,) * n, dtype=np.int8)
     arr[(0,) * n] = params.a
-    arr[tuple(coeffs[:, n - 1 - k] for k in range(n))] = signs
+    arr[tuple(coeffs.T)] = signs
     return TernaryArray(arr)
 
 

@@ -13,6 +13,7 @@ which encodes both the member index and all 2n shifts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,13 @@ from .images import GrayImage
 DEFAULT_SNR_THRESHOLD = 4.0
 
 
+def _integer(value, name: str) -> int:
+    # numpy integers are numbers.Integral too; floats are refused, not truncated
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Payload:
     """Message carried by one embedded array: member index and 2n shifts."""
@@ -33,7 +41,8 @@ class Payload:
     shifts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "shifts", tuple(int(s) for s in self.shifts))
+        object.__setattr__(self, "m", _integer(self.m, "member index"))
+        object.__setattr__(self, "shifts", tuple(_integer(s, "shift") for s in self.shifts))
         if self.m < 0:
             raise ValueError(f"member index must be >= 0, got {self.m}")
         if any(s < 0 for s in self.shifts):
@@ -47,6 +56,7 @@ class EmbedConfig:
     strength: int = 3
 
     def __post_init__(self):
+        object.__setattr__(self, "strength", _integer(self.strength, "strength"))
         if self.strength < 0:
             raise ValueError(f"strength must be >= 0, got {self.strength}")
 

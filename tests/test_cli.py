@@ -445,6 +445,22 @@ class TestUsage:
         code, _, err = run(capsys, "gen-legendre", "--p", "3", "--n", "2", "--poly", "a,b")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "poly,message",
+        [
+            ("1,0,1", "x^2 + 1 is not primitive of degree 2 over GF(3)"),
+            ("0,1,1", "x^2 + x is not primitive of degree 2 over GF(3)"),
+            ("1,1,2", "expected a monic polynomial of degree 2, got 2x^2 + x + 1"),
+            ("1,1", "expected a monic polynomial of degree 2, got x + 1"),
+            ("1,1,0,1", "expected a monic polynomial of degree 2, got x^3 + x + 1"),
+        ],
+    )
+    def test_bad_supplied_poly_exits_1(self, capsys, poly, message):
+        code, out, err = run(capsys, "gen-legendre", "--p", "3", "--n", "2", "--poly", poly)
+        assert (code, out) == (1, "")
+        assert message in err
+        assert "reciprocal" not in err
+
 
 class TestUsageText:
     """Help and usage errors are byte-exact, however many times main runs."""

@@ -6,6 +6,7 @@ from legarray import fields
 from legarray.fields import (
     ExtField,
     Poly,
+    antilog_table,
     factorize,
     find_primitive_poly,
     is_prime,
@@ -89,18 +90,6 @@ class TestPoly:
         assert Poly((0,), 5).is_zero
         assert Poly((-1, 1), 3).coeffs == (2, 1)
 
-    def test_monic_reciprocal_matches_reversal(self):
-        # reciprocal of x^2+4x+2 is 2x^2+4x+1, scaled monic by 2^-1 = 3
-        assert Poly((2, 4, 1), 5).monic_reciprocal().coeffs == (3, 2, 1)
-        assert Poly((2, 0, 0, 2, 1), 3).monic_reciprocal().coeffs == (2, 1, 0, 0, 1)
-
-    def test_monic_reciprocal_is_involution(self):
-        for coeffs in itertools.product(range(5), repeat=2):
-            poly = Poly(coeffs + (1,), 5)
-            if poly.coeffs[0] == 0:
-                continue
-            assert poly.monic_reciprocal().monic_reciprocal() == poly
-
     def test_rejects_bad_characteristic(self):
         with pytest.raises(ValueError):
             Poly((1, 1), 4)
@@ -128,6 +117,26 @@ class TestFieldMul:
             assert field.mul(a, b) == field.mul(b, a)
         for a, b, c in itertools.product(elements[1::3], repeat=3):
             assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
+    def test_matches_shift_and_reduce(self, p, n):
+        # a * b = sum_i a_i * (x**i * b), each x**i * b by the reference step
+        field = ExtField(p, n)
+        elements = list(itertools.product(range(p), repeat=n))
+        for a, b in itertools.product(elements, elements[::2]):
+            expected = [0] * n
+            row = list(b)
+            for ai in a:
+                expected = [(e + ai * r) % p for e, r in zip(expected, row)]
+                row = times_x(row, field.modulus.coeffs, p)
+            assert field.mul(a, b) == tuple(expected), (a, b)
+
+    def test_exact_where_int64_products_overflow(self):
+        # (p - 1)**2 > 2**63 - 1: the companion matrix holds Python ints
+        p = 4294967291
+        assert (p - 1) ** 2 >= 2**63
+        field = ExtField(p, 1, Poly((-2, 1), p))
+        assert field.mul((p - 1,), (p - 2,)) == (2,)
 
     def test_rejects_large_degree(self):
         field = ExtField(5, 2, Poly((2, 4, 1), 5))
@@ -158,6 +167,12 @@ class TestIsPrimitive:
             poly = Poly((c0, 1), p)
             assert is_primitive(poly) == (x_order_by_repeated_mul(poly, 1) == p - 1), c0
 
+    def test_degree_one_exact_where_int64_products_overflow(self):
+        # x - g is primitive iff g is a primitive root mod p
+        p = 4294967291
+        for g in range(2, 9):
+            assert is_primitive(Poly((-g, 1), p)) == fields._is_primitive_root(g, p), g
+
     def test_rejects_non_monic_or_wrong_degree(self):
         with pytest.raises(ValueError):
             is_primitive(Poly((1, 1, 2), 5))
@@ -165,19 +180,22 @@ class TestIsPrimitive:
             is_primitive(Poly((1, 1), 5), n=2)
 
 
+def times_x(cur: list[int], mod: tuple[int, ...], p: int) -> list[int]:
+    """x * cur modulo the monic `mod`, little-endian: shift up, then reduce x**n."""
+    n = len(mod) - 1
+    carry = cur[-1]
+    return [(-carry * mod[0]) % p] + [(cur[j - 1] - carry * mod[j]) % p for j in range(1, n)]
+
+
 def x_order_by_repeated_mul(poly: Poly, n: int) -> int:
     """Independent order check: multiply by x one step at a time."""
     p = poly.p
-    field = ExtField.__new__(ExtField)  # bypass primitivity validation
-    field.p, field.n, field.modulus, field.order = p, n, poly, p**n - 1
-    field._table = None
-    one = (1,) + (0,) * (n - 1)
-    x = (0, 1) + (0,) * (n - 2) if n >= 2 else ((-poly.coeffs[0]) % p,)
-    cur = x
+    one = [1] + [0] * (n - 1)
+    cur = times_x(one, poly.coeffs, p)
     for k in range(1, p**n):
         if cur == one:
             return k
-        cur = field.mul(cur, x)
+        cur = times_x(cur, poly.coeffs, p)
     return 0
 
 
@@ -266,16 +284,34 @@ class TestFindPrimitivePoly:
 
 def powers_by_recurrence(field):
     """Reference antilog table: multiply by x and reduce, one power at a time."""
-    p, n, mod = field.p, field.n, field.modulus.coeffs
-    cur = [1] + [0] * (n - 1)
+    cur = [1] + [0] * (field.n - 1)
     table = [tuple(cur)]
     for _ in range(field.order - 1):
-        carry = cur[-1]
-        for j in range(n - 1, 0, -1):
-            cur[j] = (cur[j - 1] - carry * mod[j]) % p
-        cur[0] = (-carry * mod[0]) % p
+        cur = times_x(cur, field.modulus.coeffs, field.p)
         table.append(tuple(cur))
     return table
+
+
+class TestAntilogTable:
+    def test_refuses_a_modulus_whose_powers_repeat(self):
+        # x^2 + 1 over GF(3): x has order 4, so the rows would repeat every 4
+        with pytest.raises(ValueError, match=r"x\^2 \+ 1 is not primitive of degree 2 over GF\(3\)"):
+            antilog_table(Poly((1, 0, 1), 3))
+
+    @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3), (3, 4)])
+    def test_accepts_exactly_the_primitive_moduli(self, p, n):
+        for tail in itertools.product(range(p), repeat=n):
+            poly = Poly(tail + (1,), p)
+            if x_order_by_repeated_mul(poly, n) == p**n - 1:
+                rows = [tuple(row) for row in antilog_table(poly).tolist()]
+                assert rows == powers_by_recurrence(ExtField(p, n, poly))
+            else:
+                with pytest.raises(ValueError, match="is not primitive"):
+                    antilog_table(poly)
+
+    def test_refuses_a_non_monic_modulus(self):
+        with pytest.raises(ValueError, match="expected a monic polynomial of degree 2"):
+            antilog_table(Poly((1, 1, 2), 5))
 
 
 class TestPowers:

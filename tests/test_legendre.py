@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from legarray.legendre import (
 )
 
 from reference_data import ARRAY_P3_N4, ARRAY_P5_N2, SEQ_P17, SEQ_P17_AUTOCORR
+from test_fields import times_x, x_order_by_repeated_mul
 
 
 def off_peak_values(arr):
@@ -18,6 +22,21 @@ def off_peak_values(arr):
     mask = np.ones(arr.dims, dtype=bool)
     mask[(0,) * arr.rank] = False
     return set(int(v) for v in table[mask])
+
+
+def reciprocal_basis_array(poly, n):
+    """The classical layout: cell i is x**i modulo the monic reciprocal of
+    poly, highest-power coefficient first, with sign (-1)**i."""
+    p = poly.p
+    reversed_coeffs = poly.coeffs[::-1]
+    inv_lead = pow(reversed_coeffs[-1], p - 2, p)
+    reciprocal = tuple(c * inv_lead % p for c in reversed_coeffs)
+    arr = np.zeros((p,) * n, dtype=np.int8)
+    cur = [1] + [0] * (n - 1)
+    for i in range(p**n - 1):
+        arr[tuple(reversed(cur))] = (-1) ** i
+        cur = times_x(cur, reciprocal, p)
+    return arr
 
 
 class TestSequence:
@@ -113,8 +132,6 @@ class TestInvariants:
             assert off_peak_values(arr) <= {1, -1, 3, -3}
 
     def test_every_primitive_poly_gives_flat_array(self):
-        import itertools
-
         arrays = []
         for tail in itertools.product(range(3), repeat=2):
             poly = Poly(tail + (1,), 3)
@@ -141,34 +158,38 @@ class TestValidation:
         with pytest.raises(ValueError):
             legendre_array(LegendreParams(p=3, n=2, poly=Poly((1, 0, 1), 3)))
 
-    def test_tests_only_a_supplied_poly(self, monkeypatch):
-        # a searched polynomial is proved by find_primitive_poly itself, and
-        # a supplied one once: its reciprocal is not proved again
+    def test_makes_no_order_test(self, monkeypatch):
+        # the antilog table proves a searched or a supplied polynomial; only
+        # find_primitive_poly runs the order test
         import legarray.fields as fields_mod
         import legarray.legendre as legendre_mod
 
+        assert not hasattr(legendre_mod, "is_primitive")
         tested = []
 
         def counting_is_primitive(poly, n=None):
             tested.append(poly)
             return is_primitive(poly, n)
 
-        monkeypatch.setattr(legendre_mod, "is_primitive", counting_is_primitive)
         monkeypatch.setattr(fields_mod, "is_primitive", counting_is_primitive)
         searched = LegendreParams(p=5, n=2).resolve()
-        assert searched.searched
-        search_calls = list(tested)
-        assert search_calls[-1] == searched.poly
-        tested.clear()
-        legendre_array(LegendreParams(p=5, n=2))
-        assert tested == search_calls
+        assert tested[-1] == searched.poly
         tested.clear()
         legendre_array(searched)
+        legendre_array(LegendreParams(p=5, n=2, poly=Poly((2, 4, 1), 5)))
         assert tested == []
-        supplied = LegendreParams(p=5, n=2, poly=searched.poly)
-        assert supplied == searched and not supplied.searched
-        legendre_array(supplied)
-        assert tested == [searched.poly]
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 3), (3, 4)])
+    def test_accepts_exactly_the_primitive_polys(self, p, n):
+        # n = 1 ignores the polynomial; test_fields checks the table there
+        for tail in itertools.product(range(p), repeat=n):
+            poly = Poly(tail + (1,), p)
+            params = LegendreParams(p=p, n=n, poly=poly)
+            if x_order_by_repeated_mul(poly, n) == p**n - 1:
+                assert np.array_equal(legendre_array(params).values, reciprocal_basis_array(poly, n))
+            else:
+                with pytest.raises(ValueError, match=f"{re.escape(str(poly))} is not primitive"):
+                    legendre_array(params)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):

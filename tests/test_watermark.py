@@ -248,6 +248,28 @@ class TestEmbed:
         with pytest.raises(ValueError):
             EmbedConfig(-1)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Payload(m=1, shifts=(0.5, 0, 0, 0)),
+            lambda: Payload(m=1.0, shifts=(0, 0, 0, 0)),
+            lambda: EmbedConfig(2.5),
+        ],
+        ids=["shift", "m", "strength"],
+    )
+    def test_non_integer_refused(self, make):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make()
+
+    def test_numpy_integers_accepted(self, family_3_2):
+        payload = Payload(m=np.int64(1), shifts=tuple(np.arange(4, dtype=np.int64) % 3))
+        assert payload == Payload(m=1, shifts=(0, 1, 2, 0))
+        assert type(payload.m) is int and {type(s) for s in payload.shifts} == {int}
+        config = EmbedConfig(np.int64(3))
+        assert embed(flat_gray(27), family_3_2[1], payload, config) == embed(
+            flat_gray(27), family_3_2[1], Payload(1, (0, 1, 2, 0)), EmbedConfig(3)
+        )
+
 
 class TestExtract:
     def test_end_to_end_exact_on_flat_carrier(self, family_3_2):
