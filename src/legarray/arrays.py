@@ -168,10 +168,10 @@ def deserialize(text: str) -> _NdArray:
     Entries are parsed with int(), each distinct token once, and must fit
     in int64.
     """
-    tokens = text.split("\n")
-    if not tokens or tokens[0].strip() != "NDA1":
+    magic, _, rest = text.partition("\n")
+    if magic.strip() != "NDA1":
         raise ValueError("not an NDA1 file (bad magic)")
-    body = "\n".join(tokens[1:]).split()
+    body = rest.split()
     if len(body) < 3:
         raise ValueError("truncated NDA header")
     try:

@@ -207,7 +207,7 @@ def build_parser() -> _Parser:
         help="list every shift attaining max |theta| in each report "
         f"(default: the first {VERIFY_SHIFTS_SHOWN} and their count)",
     )
-    s.add_argument("--out", default=None, help="also write the JSON report here")
+    s.add_argument("--out", default=None, help="write the JSON report to this file instead of stdout")
     s.set_defaults(fn=_cmd_verify)
 
     s = sub.add_parser("welch", help="exact bound-to-peak ratio versus the benchmark")

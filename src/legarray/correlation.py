@@ -10,20 +10,19 @@ the identity). Three kernels compute such tables exactly:
 * `full_correlation`, the oracle, evaluates this sum in integer arithmetic;
   `corr` and the reference `verify_autocorrelation`/`verify_cross_correlation`
   use it.
-* `member_products` correlates a rank-2n integer array X with every shear
+* The member kernel correlates a rank-2n integer array X with every shear
   S_m(x, y) = A(x) * A(y - m*x) of a rank-n base A: with X as a p^n x p^n
   matrix, H[s, y] = A(y + s) and C = X @ H, theta_{X,S_m}(s, t) =
   (H @ C_m)[s, t - m*s] where C_m[y, u] = C[y, u - m*y] = C_{m-1}[y, u - y],
   so p + 1 products give all p tables, each in sheared order. The
   addition table of Z_p^n gives H and every shear index, (s, t) ->
-  (s, t - m*s) on flat indices, used by `shear`, the C_m chain,
-  `member_tables` and `verify_family` alike. Every entry and partial sum
-  is an integer bounded by sum|X| * max|A|**2, so the BLAS products are
-  exact in any summation order in float32 below 2**24, in float64 below
-  2**53, and in int64 up to 2**63 - 1. `member_tables` reads them back
-  into table order as int64. `extract` reads its peak and sum of squares
-  from the products of the folded period directly, and `verify_family`
-  its bound reports from the products of S_0: theta_{S_m,S_m'}(s, t) is
+  (s, t - m*s) on flat indices. Every entry and partial sum is an integer
+  bounded by sum|X| * max|A|**2, so the BLAS products are exact in any
+  summation order in float32 below 2**24, in float64 below 2**53, and in
+  int64 up to 2**63 - 1. `member_tables` reads them back into table order
+  as int64; `member_peak` reads the global peak and the exact sum of
+  squares straight from them, for `extract`; and `verify_family` makes its
+  bound reports from the products of S_0: theta_{S_m,S_m'}(s, t) is
   product m' - m at (s, t - m'*s), a bijection that fixes the zero shift.
 * `full_correlation_fast`, the FFT kernel of `corr --fast`, rounds its
   table to int64 behind a 2**53 refusal and a residual check.
@@ -32,6 +31,7 @@ the identity). Three kernels compute such tables exactly:
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -131,17 +131,22 @@ def _addition_table(p: int, n: int) -> np.ndarray:
     return add
 
 
+def _multiples(p: int, q: int, m: int) -> np.ndarray:
+    """Entry s is the flat index of m*s in Z_p^n, q = p^n, digitwise mod p:
+    one p-entry digit table, widened per digit like `_addition_table`."""
+    digit = m * np.arange(p) % p
+    index = digit
+    while len(index) < q:
+        index = (index[:, None] * p + digit).reshape(-1)
+    return index
+
+
 def _shear_index(add: np.ndarray, p: int, m: int) -> np.ndarray:
     """Entry s*q + t is the flat index of (s, t - m*s) in a q x q grid,
     digitwise mod p: row s of the addition table `add` at the index of
-    -m*s, offset by s*q. The index of -m*s is one p-entry digit table,
-    widened per digit like `add`."""
+    -m*s, offset by s*q."""
     q = len(add)
-    digit = -m * np.arange(p) % p
-    minus_ms = digit
-    while len(minus_ms) < q:
-        minus_ms = (minus_ms[:, None] * p + digit).reshape(-1)
-    index = add[minus_ms]
+    index = add[_multiples(p, q, -m)]
     index += np.arange(0, q * q, q)[:, None]  # in place: no second q*q array
     return index.reshape(-1)
 
@@ -183,28 +188,47 @@ def _checked(x, base) -> tuple[np.ndarray, np.ndarray, int]:
     return x, base, bound
 
 
-def member_products(x, base) -> Iterator[np.ndarray]:
-    """The raw products P_m = H @ C_m, for m = 0 .. p - 1 in order, of the
-    rank-2n integer array x against the shears S_m of the rank-n base A:
-    q x q arrays, q = p^n, in sheared coordinates, P_m[s, u] =
-    theta_{x,S_m}(s, t) with u = t - m*s (digitwise mod p), so each holds
-    its table's entries in another order. Every entry, and every partial
-    sum of the products, is an integer of magnitude at most
-    sum|x| * max|A|**2, so each product is exact in its dtype: float32
-    below 2**24, float64 below 2**53 and int64 up to 2**63 - 1. Beyond
-    that, and for non-integer x or A, the call refuses before any work;
-    the int64 refusal comes exactly when full_correlation would refuse x
-    against the members.
+def member_peak(x, base) -> tuple[int, int, tuple[int, ...], int]:
+    """(value, m, shift, energy) over the tables theta_{x, S_m}, m = 0 ..
+    p - 1, of the rank-2n integer array x against the shears S_m of the
+    rank-n base A: the largest entry, the first position (m, shift) holding
+    it in (m, C order), and the exact integer sum of squares of all p * q**2
+    entries, q = p^n. Read from the raw products, which hold each table in
+    sheared order, (s, u) for (s, u + m*s): that changes neither a table's
+    maximum nor its sum of squares, and keeps each row s. A product's peak
+    is mapped back only when it beats the best so far. Refuses when called,
+    before any product, as member_tables does.
     """
     x, base, bound = _checked(x, base)
-    return _products(x, base, bound, _addition_table(base.shape[0], base.ndim))
+    p, q = base.shape[0], base.size
+    add = _addition_table(p, base.ndim)
+    best, best_m, best_flat, energy = -math.inf, 0, 0, 0
+    for m, product in enumerate(_products(x, base, bound, add)):
+        v = product.reshape(-1).astype(np.float64, copy=False)
+        total = float(np.dot(v, v))  # exact below 2**53: no partial sum exceeds it
+        if total >= 2**53:
+            total = sum(k * k for k in product.reshape(-1).astype(np.int64).tolist())
+        energy += int(total)
+        s, u = divmod(int(np.argmax(product)), q)
+        value = int(product[s, u])
+        if value > best:
+            # the table's first peak is in row s, at the least t = u' + m*s
+            # over the row's ties u': a q**2 shear index per improved peak
+            # would cost about 0.2 ms at (13,2)
+            ties = np.flatnonzero(product[s] == product[s, u])
+            t = int(add[ties, _multiples(p, q, m)[s]].min())
+            best, best_m, best_flat = value, m, s * q + t
+    shift = tuple(int(k) for k in np.unravel_index(best_flat, x.shape))
+    return best, best_m, shift, energy
 
 
 def member_tables(x, base) -> Iterator[np.ndarray]:
     """Exact int64 tables theta_{x, S_m}, for m = 0 .. p - 1 in order, of the
     rank-2n integer array x against the shears S_m of the rank-n base A:
-    the `member_products`, each read back into table order through the
-    shear index of its m. Refuses when called, before any work, as they do.
+    the raw products, each read back into table order through the shear
+    index of its m. Refuses when called, before any work, non-integer or
+    mismatched x and A, and bounds past int64, exactly when full_correlation
+    would refuse x against the members.
     """
     x, base, bound = _checked(x, base)
     p = base.shape[0]
@@ -403,7 +427,7 @@ def verify_family(
     i < j, in family order, equal to verify_autocorrelation's and
     verify_cross_correlation's on the members, but from the family's base:
     no member is built. theta_{S_m,S_m'}(s, t) is entry (s, t - m'*s) of
-    the d-th raw `member_products` of S_0, d = m' - m, a bijection fixing
+    the d-th raw product of S_0, d = m' - m, a bijection fixing
     the zero shift: one bound report per d, made on the product itself,
     serves every pair with that d, its attaining shifts mapped back through
     the shear index of -m'. Refuses origin value a != 0, as those do, before

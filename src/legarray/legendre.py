@@ -15,18 +15,19 @@ import numpy as np
 
 from .arrays import MAX_RANK, TernaryArray
 from .correlation import full_correlation
-from .fields import _POWER_TABLE_LIMIT, Poly, _check_monic, _check_odd_prime, antilog_table, find_primitive_poly, quadratic_residues
+from .fields import _POWER_TABLE_LIMIT, Poly, _check_monic, _check_odd_prime, antilog_table, find_primitive_poly, is_primitive, quadratic_residues
 
 
 @dataclass(frozen=True)
 class LegendreParams:
     """Construction parameters: size p, dimension n, origin value, polynomial.
 
-    `poly` must be monic primitive of degree n; it is ignored for n = 1,
-    where quadratic residues are used directly. When omitted it defaults to
-    the deterministic find_primitive_poly(p, n). A supplied or searched
-    polynomial is proved primitive by the antilog table legendre_array
-    builds on it.
+    `poly` must be monic primitive of degree n. For n = 1 the array is the
+    quadratic-residue sequence, the same for every primitive root, so there
+    a polynomial is only checked and none is searched for. When omitted it
+    defaults to the deterministic find_primitive_poly(p, n). For n >= 2 a
+    supplied or searched polynomial is proved primitive by the antilog
+    table legendre_array builds on it.
     """
 
     p: int
@@ -82,9 +83,13 @@ def legendre_array(params: LegendreParams) -> TernaryArray:
         raise ValueError(f"rank {params.n} exceeds limit {MAX_RANK}")
     params = params.resolve()
     p, n = params.p, params.n
+    if params.poly is not None:
+        _check_monic(params.poly, n)
     if n == 1:
+        # no table to prove it: the order test, on a 1 x 1 companion matrix
+        if params.poly is not None and not is_primitive(params.poly, 1):
+            raise ValueError(f"{params.poly} is not primitive of degree 1 over GF({p})")
         return legendre_sequence(p, params.a)
-    _check_monic(params.poly, n)
     coeffs = antilog_table(params.poly)  # (p^n - 1, n), little-endian
     signs = np.where((np.arange(len(coeffs)) + n - 1) % 2 == 0, 1, -1).astype(np.int8)
     arr = np.zeros((p,) * n, dtype=np.int8)

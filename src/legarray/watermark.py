@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import TernaryArray
-from .correlation import member_products
+from .correlation import member_peak
 from .family import ArrayFamily, FamilyMember
 from .images import GrayImage
 
@@ -162,18 +162,6 @@ def _fold_tiles(pixels: np.ndarray, th: int, tw: int) -> np.ndarray:
     return by_row.reshape(th, cols, tw).sum(axis=1, dtype=np.int64)
 
 
-def _energy(product: np.ndarray) -> int:
-    """Sum of the squares of the integer entries of `product`, exact. A
-    float64 dot is exact when its result is below 2**53: the squares are
-    nonnegative, so no partial sum exceeds the total. Beyond that, Python
-    ints."""
-    v = product.reshape(-1).astype(np.float64, copy=False)
-    total = float(np.dot(v, v))
-    if total < 2**53:
-        return int(total)
-    return sum(k * k for k in product.reshape(-1).astype(np.int64).tolist())
-
-
 def embed(
     img: GrayImage, member: FamilyMember, payload: Payload, cfg: EmbedConfig = EmbedConfig()
 ) -> GrayImage:
@@ -222,18 +210,13 @@ def extract(
 
     The image is cropped to whole tiles, the tiles are summed into one
     integer period (coherent gain), and the period is partitioned back into
-    rank 2n. Every member is a shear of the family's base array A, so all p
-    tables come from p + 1 products of p^n x p^n matrices
-    (`member_products`), each exact in float32, float64 or int64 as the
-    bound sum|period| * max|A|^2 allows. First, each row x of the period,
-    read as a p^n x p^n matrix, has its floor mean c(x) subtracted: that
-    adds sum_x c(x) A(x + s) sum_y A(.) = 0 to every table entry, as A sums
-    to zero, and takes the carrier's mean level out of the bound, so that
-    the products of an 8-bit carrier mostly run in float32. The products
-    hold each table's entries in sheared order, (s, u) for (s, u + m*s),
-    which changes neither the maximum nor the sum of squares; a product's
-    peak is mapped back to its first table position in C order only when
-    it beats the best so far.
+    rank 2n. Each row x of the period, read as a p^n x p^n matrix, has its
+    floor mean c(x) subtracted: that adds sum_x c(x) A(x + s) sum_y A(.) = 0
+    to every table entry, as the base A sums to zero, and takes the
+    carrier's mean level out of the kernel's bound, so that the products of
+    an 8-bit carrier mostly run in float32. `member_peak` then gives
+    the first global peak over every member's table in (m, C order), and
+    the exact sum of squares of all their entries.
     The returned score is the integer peak and the snr is the peak against
     the RMS of all other correlation entries across every member, from
     their exact integer sum of squares; results with snr below
@@ -252,28 +235,12 @@ def extract(
             f"image {img.width}x{img.height} smaller than one {tw}x{th} watermark tile"
         )
     base = family.base.values
-    p, q, shape = family.params.p, base.size, base.shape
+    p, q = family.params.p, base.size
     rows = _unflatten_values(_fold_tiles(img.pixels, th, tw), member_dims).reshape(q, q)
     # centring each row leaves every table as it is, since A sums to zero
     period = rows - rows.sum(axis=1, keepdims=True) // q
 
-    best, best_m, best_shift, energy = -math.inf, 0, (), 0
-    for m, product in enumerate(member_products(period.reshape(member_dims), base)):
-        energy += _energy(product)
-        s, u = divmod(int(np.argmax(product)), q)
-        value = int(product[s, u])
-        if value > best:
-            # product[s, u] is the table's entry (s, u + m*s): the table's
-            # first peak is in row s, at the least t among the row's ties.
-            # Only that row's tied cells are mapped, digitwise; a q^2 shear
-            # index per improved peak would cost about 0.2 ms at (13,2).
-            s_digits = np.unravel_index(s, shape)
-            ties = np.unravel_index(np.flatnonzero(product[s] == product[s, u]), shape)
-            t_digits = tuple(uk + m * sk for uk, sk in zip(ties, s_digits))
-            t = np.ravel_multi_index(t_digits, shape, mode="wrap").min()
-            best, best_m = value, m
-            best_shift = tuple(int(k) for k in s_digits + np.unravel_index(t, shape))
-
+    best, best_m, best_shift, energy = member_peak(period.reshape(member_dims), base)
     rms = math.sqrt((energy - best**2) / (p * q * q - 1))
     if rms > 0:
         snr = best / rms

@@ -101,7 +101,7 @@ options:
   --fast       selects nothing; verify always runs the exact family kernel
   --full       list every shift attaining max |theta| in each report (default:
                the first 8 and their count)
-  --out OUT    also write the JSON report here
+  --out OUT    write the JSON report to this file instead of stdout
 """,
         "",
     ),

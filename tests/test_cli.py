@@ -278,7 +278,7 @@ class TestVerify:
     def test_out_flag_writes_report_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "verify", "--p", "3", "--n", "2", "--out", str(target))
-        assert code == 0
+        assert (code, out) == (0, "")  # the file instead of stdout, as the help says
         assert json.loads(target.read_text())["passed"] is True
 
     def test_failed_check_exits_2(self, capsys, monkeypatch):
@@ -460,6 +460,29 @@ class TestUsage:
         assert (code, out) == (1, "")
         assert message in err
         assert "reciprocal" not in err
+
+    @pytest.mark.parametrize("command", ["gen-legendre", "verify"])
+    @pytest.mark.parametrize(
+        "poly,message",
+        [
+            ("2,1", "x + 2 is not primitive of degree 1 over GF(3)"),
+            ("0,1", "x is not primitive of degree 1 over GF(3)"),
+            ("1,2", "expected a monic polynomial of degree 1, got 2x + 1"),
+            ("1,1,0,1", "expected a monic polynomial of degree 1, got x^3 + x + 1"),
+        ],
+    )
+    def test_bad_supplied_poly_at_n_1_exits_1(self, capsys, command, poly, message):
+        code, out, err = run(capsys, command, "--p", "3", "--n", "1", "--poly", poly)
+        assert (code, out) == (1, "")
+        assert message in err
+
+    def test_primitive_poly_at_n_1_changes_nothing(self, capsys):
+        # every primitive root gives the same quadratic-residue sequence
+        plain = run(capsys, "gen-legendre", "--p", "3", "--n", "1")
+        assert plain[0] == 0
+        assert run(capsys, "gen-legendre", "--p", "3", "--n", "1", "--poly", "1,1") == plain
+        code, out, _ = run(capsys, "verify", "--p", "3", "--n", "1", "--poly", "1,1")
+        assert code == 0 and json.loads(out)["poly"] == "1,1"
 
 
 class TestUsageText:

@@ -21,7 +21,7 @@ from legarray.correlation import (
     cross_correlation_at,
     full_correlation,
     full_correlation_fast,
-    member_products,
+    member_peak,
     member_tables,
     shear,
     verify_autocorrelation,
@@ -208,6 +208,19 @@ def test_numpy_fft_used_only_in_correlation_module():
     fft_use = re.compile(r"\b(np|numpy)\.fft\b|\bimport\s+fft\b")
     users = sorted(f.name for f in src.glob("*.py") if fft_use.search(f.read_text()))
     assert users == ["correlation.py"]
+
+
+def test_kernel_internals_used_only_in_correlation_module():
+    # the kernel's dtype tiers, shear index and addition table stay behind
+    # member_peak, member_tables and verify_family
+    src = Path(__file__).resolve().parent.parent / "src" / "legarray"
+    internal = re.compile(r"\b(_products|_checked|_shear_index|_addition_table)\b")
+    users = sorted(f.name for f in src.glob("*.py") if internal.search(f.read_text()))
+    assert users == ["correlation.py"]
+    text = (src / "watermark.py").read_text()
+    imports = re.findall(r"^(?:from|import) .*\bcorrelation\b.*$", text, re.MULTILINE)
+    assert imports == ["from .correlation import member_peak"]
+    assert not re.search(r"\b(unravel_index|ravel_multi_index)\b", text)
 
 
 BOUND_GRID = [(3, 1), (5, 1), (11, 1), (3, 2), (3, 3)]
@@ -635,8 +648,9 @@ class TestMemberTablesKernel:
         base = np.array([[1, 0, -1], [0, 1, 0], [1, 1, 0]])
         x = with_bound(np.random.default_rng(1), base, 4, INT64_MAX + 1)
         with product_dtypes() as dtypes:
-            with pytest.raises(ValueError, match="beyond the int64 range"):
-                member_tables(x, base)
+            for kernel in (member_tables, member_peak):
+                with pytest.raises(ValueError, match="beyond the int64 range"):
+                    kernel(x, base)
             with pytest.raises(ValueError, match="beyond the int64 range"):
                 full_correlation(IntArray(x), IntArray(shear(base, 0)))
         assert dtypes == []
@@ -657,8 +671,11 @@ class TestMemberTablesKernel:
             member_tables(x, base)
 
     def test_dims_mismatch_refused(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            member_tables(np.zeros((3, 3, 3)), np.array([1, -1, 0]))
+        with product_dtypes() as dtypes:
+            for kernel in (member_tables, member_peak):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    kernel(np.zeros((3, 3, 3), dtype=np.int64), np.array([1, -1, 0]))
+        assert dtypes == []
 
     @pytest.mark.parametrize("which", ["x", "base"])
     def test_uint64_entries_past_int64_refused(self, which):
@@ -666,7 +683,7 @@ class TestMemberTablesKernel:
         x, base = np.zeros((3, 3), dtype=np.uint64), np.array([0, 1, 1], dtype=np.uint64)
         (x if which == "x" else base)[-1] = 2**63
         with product_dtypes() as dtypes:
-            for kernel in (member_tables, member_products):
+            for kernel in (member_tables, member_peak):
                 with pytest.raises(ValueError, match=f"entry {2**63} is outside the int64 range"):
                     kernel(x, base)
         assert dtypes == []
@@ -693,7 +710,7 @@ class TestMemberTablesKernel:
             with pytest.raises(ValueError, match=message):
                 member_tables(x, base)
             with pytest.raises(ValueError, match=message):
-                member_products(x, base)
+                member_peak(x, base)
         assert dtypes == []
         with pytest.raises(ValueError, match=message):
             full_correlation(IntArray(x), IntArray(shear(base, 0)))
@@ -710,6 +727,76 @@ class TestMemberTablesKernel:
         tables = member_tables(x, base)
         for m, (table, expected) in enumerate(zip(tables, oracle_tables(x, base), strict=True)):
             assert np.array_equal(table, expected), m
+
+
+# the product dtype of each tier and its range of the bound sum|x| * max|A|**2
+PRODUCT_TIERS = [
+    (np.float32, 0, 2**24 - 1),
+    (np.float64, 2**24, 2**53 - 1),
+    (np.int64, 2**53, INT64_MAX),
+]
+
+
+@st.composite
+def peak_cases(draw):
+    """A random integer base, a random integer period whose kernel bound falls
+    in a drawn product tier, and that tier's dtype. Small period entries
+    make ties likely; the first entry takes the bound's slack."""
+    p, n = draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]))
+    dtype, low, high = draw(st.sampled_from(PRODUCT_TIERS))
+    peak = draw(st.integers(1, 4))
+    base = draw(st.lists(st.integers(-peak, peak), min_size=p**n, max_size=p**n))
+    base[draw(st.integers(0, p**n - 1))] = draw(st.sampled_from([peak, -peak]))
+    top = draw(st.sampled_from([0, 1, 255]))
+    cells = draw(st.lists(st.integers(-top, top), min_size=p ** (2 * n), max_size=p ** (2 * n)))
+    cells[0] = 0
+    rest = sum(map(abs, cells))
+    total = draw(st.integers(max(rest, -(-low // peak**2)), high // peak**2))
+    cells[0] = draw(st.sampled_from([1, -1])) * (total - rest)
+    x = np.array(cells, dtype=np.int64).reshape((p,) * (2 * n))
+    return x, np.array(base, dtype=np.int64).reshape((p,) * n), dtype
+
+
+def peak_by_definition(x, base):
+    """member_peak by its definition on the int64 tables of member_tables:
+    the first maximum in (m, C order) by np.argmax, and the sum of squares
+    of every entry in Python ints."""
+    tables = np.stack(list(member_tables(x, base)))
+    m, *shift = np.unravel_index(np.argmax(tables), tables.shape)
+    energy = sum(v * v for v in tables.reshape(-1).tolist())
+    return int(tables[(m, *shift)]), int(m), tuple(int(k) for k in shift), energy
+
+
+class TestMemberPeak:
+    """The global peak and exact energy, read from the sheared products."""
+
+    @given(peak_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_its_definition_on_member_tables(self, case):
+        x, base, dtype = case
+        with product_dtypes() as dtypes:
+            peak = member_peak(x, base)
+        assert dtypes == [dtype] * (base.shape[0] + 1)
+        assert peak == peak_by_definition(x, base)
+        assert all(type(k) is int for k in (peak[0], peak[1], *peak[2], peak[3]))
+
+    @pytest.mark.parametrize("p,n", SHEARED_GRID)
+    def test_all_zero_period_ties_everywhere(self, p, n):
+        # every entry of every table is 0: the first is member 0's zero shift
+        base = legendre_array(resolved(p, n)).values
+        x = np.zeros((p,) * (2 * n), dtype=np.int64)
+        assert member_peak(x, base) == (0, 0, (0,) * (2 * n), 0)
+
+    @pytest.mark.parametrize("p,n", SHEARED_GRID)
+    def test_members_of_the_family_peak_at_themselves(self, p, n):
+        # S_m against every member: the largest entry is its autocorrelation
+        # peak, its (q - 1)**2 nonzero cells, first at its own zero shift
+        family = family_for(p, n)
+        q = p**n
+        for member in family:
+            value, m, shift, energy = member_peak(member.arr.values, family.base.values)
+            assert (value, m, shift) == ((q - 1) ** 2, member.m, (0,) * (2 * n))
+            assert energy == peak_by_definition(member.arr.values, family.base.values)[3]
 
 
 class TestWelchMetrics:

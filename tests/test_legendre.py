@@ -159,25 +159,29 @@ class TestValidation:
             legendre_array(LegendreParams(p=3, n=2, poly=Poly((1, 0, 1), 3)))
 
     def test_makes_no_order_test(self, monkeypatch):
-        # the antilog table proves a searched or a supplied polynomial; only
-        # find_primitive_poly runs the order test
+        # for n >= 2 the antilog table proves a searched or a supplied
+        # polynomial; only find_primitive_poly runs the order test. At n = 1
+        # no table is built, so a supplied polynomial gets one order test.
         import legarray.fields as fields_mod
         import legarray.legendre as legendre_mod
 
-        assert not hasattr(legendre_mod, "is_primitive")
         tested = []
 
         def counting_is_primitive(poly, n=None):
-            tested.append(poly)
+            tested.append((poly, n))
             return is_primitive(poly, n)
 
         monkeypatch.setattr(fields_mod, "is_primitive", counting_is_primitive)
+        monkeypatch.setattr(legendre_mod, "is_primitive", counting_is_primitive)
         searched = LegendreParams(p=5, n=2).resolve()
-        assert tested[-1] == searched.poly
+        assert tested[-1][0] == searched.poly
         tested.clear()
         legendre_array(searched)
         legendre_array(LegendreParams(p=5, n=2, poly=Poly((2, 4, 1), 5)))
+        legendre_array(LegendreParams(p=5, n=1))
         assert tested == []
+        legendre_array(LegendreParams(p=5, n=1, poly=Poly((2, 1), 5)))
+        assert tested == [(Poly((2, 1), 5), 1)]
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 3), (3, 4)])
     def test_accepts_exactly_the_primitive_polys(self, p, n):
