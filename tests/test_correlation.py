@@ -671,10 +671,11 @@ class TestMemberTablesKernel:
             member_tables(x, base)
 
     def test_dims_mismatch_refused(self):
+        # a float x is refused for its shape, before its dtype
         with product_dtypes() as dtypes:
             for kernel in (member_tables, member_peak):
                 with pytest.raises(ValueError, match="dimension mismatch"):
-                    kernel(np.zeros((3, 3, 3), dtype=np.int64), np.array([1, -1, 0]))
+                    kernel(np.zeros((3, 3, 3)), np.array([1, -1, 0]))
         assert dtypes == []
 
     @pytest.mark.parametrize("which", ["x", "base"])
