@@ -7,6 +7,8 @@ NDA text format, and grayscale rendering. Row-major (C) order throughout.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .images import GrayImage
@@ -141,33 +143,95 @@ class IntArray(_NdArray):
 def serialize(arr: _NdArray) -> str:
     """NDA text format: magic, rank, extents, entry kind, row-major entries.
 
-    One line per trailing-axis run (which keeps files diffable), entries
-    separated by single spaces, each written as str() of the Python int.
-    Each distinct value is formatted once into a NUL-padded cell and the
-    cells are gathered per entry, so a ternary array costs at most three
-    str() calls. Deterministic output; deserialize(serialize(a)) == a
-    bit-exactly.
+    Writes the one canonical layout: one line per trailing-axis run (which
+    keeps files diffable), entries separated by single spaces, each written
+    as str() of the Python int, and a final newline. Each distinct value is
+    formatted once into a NUL-padded cell of a power-of-two size; the cells
+    are gathered per entry and the NULs dropped. When the entries span fewer
+    values than there are entries (any ternary array of three or more
+    entries, and the members' correlation tables), a cell's code is the
+    entry minus the least entry; only wider ranges sort through np.unique.
+    Deterministic output; deserialize(serialize(a)) == a bit-exactly.
     """
     header = f"NDA1\n{arr.rank}\n{' '.join(str(d) for d in arr.dims)}\n{arr.kind}\n"
-    rows = arr.values.reshape(-1, arr.dims[-1])
-    distinct, codes = np.unique(rows, return_inverse=True)
-    tokens = [str(v) for v in distinct.tolist()]
-    # distinct is sorted, so the longest token is its most negative or its
-    # largest value
+    values = arr.values.reshape(-1)
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo < values.size:
+        tokens = [str(v) for v in range(lo, hi + 1)]
+        codes = values - lo
+    else:
+        distinct, codes = np.unique(values, return_inverse=True)
+        tokens = [str(v) for v in distinct.tolist()]
+    # tokens run in increasing value, so the longest is the first or the last
     width = max(len(tokens[0]), len(tokens[-1]))
-    cells = np.full((distinct.size, width + 1), ord(" "), dtype=np.uint8)
+    cell = 1 << width.bit_length()  # > width; take copies such items fastest
+    cells = np.zeros((len(tokens), cell), dtype=np.uint8)
     cells[:, :width] = np.array(tokens, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    text = cells[codes.reshape(rows.shape)]
-    text[:, -1, -1] = ord("\n")
-    return header + text.tobytes().replace(b"\0", b"").decode()
+    cells[:, -1] = ord(" ")
+    text = cells.view(f"V{cell}").reshape(-1).take(codes).view(np.uint8)
+    text.reshape(-1, arr.dims[-1] * cell)[:, -1] = ord("\n")
+    return header + text.tobytes().translate(None, b"\0").decode()
 
 
-def deserialize(text: str) -> _NdArray:
-    """Parse the NDA text format produced by serialize.
+_MAX_DIGITS = 18  # every integer of up to 18 digits fits in int64
 
-    Entries are parsed with int(), each distinct token once, and must fit
-    in int64.
+
+def _read_canonical(text: str) -> tuple[tuple[int, ...], str, np.ndarray] | None:
+    """(dims, kind, flat int64 entries) of text in the layout serialize
+    writes, read in one vectorised pass; None for any other text.
+
+    The layout: the header serialize would write for the parsed rank, dims
+    and kind, then an ASCII body in which every token is str() of an int of
+    at most 18 digits (0 or -?[1-9][0-9]*) followed by exactly one ' ' or
+    '\n'. Each token's digits are read from a right-aligned (width x
+    tokens) digit matrix, one row per decimal place.
     """
+    head = text.split("\n", 4)
+    if len(head) < 5 or head[3] not in ("ternary", "int"):
+        return None
+    extents = head[2].split(" ")
+    if not all(e.isascii() and e.isdigit() for e in extents):
+        return None
+    dims = tuple(int(e) for e in extents)
+    kind, body = head[3], head[4]
+    header = f"NDA1\n{len(dims)}\n{' '.join(str(d) for d in dims)}\n{kind}\n"
+    if min(dims) < 1 or not text.startswith(header) or not body.isascii():
+        return None
+    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    sep = (b == ord(" ")) | (b == ord("\n"))
+    ends = np.flatnonzero(sep)
+    if ends.size != math.prod(dims) or not sep[-1]:
+        return None
+    size = np.diff(ends, prepend=-1) - 1  # characters per token
+    # 1 where a token starts with '-', as int8: a random bool mask would
+    # make np.where or a bool-to-int cast branch per token
+    neg = (b[ends - size] == ord("-")).view(np.int8)
+    ndig = size - neg
+    if ndig.min() < 1 or ndig.max() > _MAX_DIGITS:
+        return None
+    digit = b - ord("0")  # wraps non-digits past 9
+    # every byte that is no separator and no leading '-' must be a digit
+    if np.count_nonzero(digit < 10) != b.size - ends.size - np.count_nonzero(neg):
+        return None
+    if ((digit[ends - ndig] == 0) & (size > 1)).any():
+        return None  # a leading zero, or -0
+    # row j of the w-row digit matrix: each token's character w - j places
+    # left of its end, so the last row holds the units; places left of the
+    # token, clipped or not, read 0
+    rows = np.arange(-int(ndig.max()), 0)[:, None]
+    digits = np.take(digit, ends + rows, mode="clip")
+    digits *= rows >= -ndig
+    flat = digits[0].astype(np.int64)
+    for row in digits[1:]:
+        flat *= 10
+        flat += row
+    flat *= 1 - 2 * neg
+    return dims, kind, flat
+
+
+def _read_tokens(text: str) -> tuple[tuple[int, ...], str, np.ndarray]:
+    """(dims, kind, flat int64 entries) of any NDA1 text: whitespace-split
+    tokens, each distinct entry token parsed once with int()."""
     magic, _, rest = text.partition("\n")
     if magic.strip() != "NDA1":
         raise ValueError("not an NDA1 file (bad magic)")
@@ -206,6 +270,20 @@ def deserialize(text: str) -> _NdArray:
     except OverflowError:
         bad = next(t for t in entries if not -(2**63) <= parsed[t] < 2**63)
         raise ValueError(f"entry {bad} is outside the int64 range") from None
+    return dims, kind, flat
+
+
+def deserialize(text: str) -> _NdArray:
+    """Parse the NDA text format.
+
+    Text in the layout serialize writes is read in one vectorised pass
+    (_read_canonical). Any other text, such as other whitespace, signs,
+    leading zeros, or tokens of 19 digits and more, is split on whitespace
+    and each distinct token parsed with int() (_read_tokens). Both give the
+    same array; entries must fit in int64.
+    """
+    parsed = _read_canonical(text)
+    dims, kind, flat = _read_tokens(text) if parsed is None else parsed
     cls = TernaryArray if kind == "ternary" else IntArray
     return cls.from_flat(dims, flat)
 

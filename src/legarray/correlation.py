@@ -131,24 +131,26 @@ def _addition_table(p: int, n: int) -> np.ndarray:
     return add
 
 
-def _multiples(p: int, q: int, m: int) -> np.ndarray:
-    """Entry s is the flat index of m*s in Z_p^n, q = p^n, digitwise mod p:
-    one p-entry digit table, widened per digit like `_addition_table`."""
-    digit = m * np.arange(p) % p
+def _multiples(p: int, q: int, m) -> np.ndarray:
+    """Entry [..., s] is the flat index of m*s in Z_p^n, q = p^n, digitwise
+    mod p, for an int m or for each entry of an array of them: one p-entry
+    digit table per m, widened per digit like `_addition_table`."""
+    digit = np.multiply.outer(m, np.arange(p)) % p
     index = digit
-    while len(index) < q:
-        index = (index[:, None] * p + digit).reshape(-1)
+    while index.shape[-1] < q:
+        index = (index[..., :, None] * p + digit[..., None, :]).reshape(*digit.shape[:-1], -1)
     return index
 
 
-def _shear_index(add: np.ndarray, p: int, m: int) -> np.ndarray:
-    """Entry s*q + t is the flat index of (s, t - m*s) in a q x q grid,
-    digitwise mod p: row s of the addition table `add` at the index of
-    -m*s, offset by s*q."""
+def _shear_index(add: np.ndarray, p: int, m) -> np.ndarray:
+    """Entry [..., s*q + t] is the flat index of (s, t - m*s) in a q x q
+    grid, digitwise mod p, for an int m or for each entry of an array of
+    them: row s of the addition table `add` at the index of -m*s, offset by
+    s*q. An array of m costs one gather."""
     q = len(add)
-    index = add[_multiples(p, q, -m)]
+    index = add[_multiples(p, q, np.negative(m))]
     index += np.arange(0, q * q, q)[:, None]  # in place: no second q*q array
-    return index.reshape(-1)
+    return index.reshape(*index.shape[:-2], -1)
 
 
 def shear(base: np.ndarray, m: int) -> np.ndarray:
@@ -443,7 +445,7 @@ def verify_family(
         for d, product in enumerate(_products(x, base, bound, add))
     ]
     # entry s*q + u of back[m'] is the flat index of (s, u + m'*s)
-    back = [_shear_index(add, p, -m2) for m2 in range(p)]
+    back = _shear_index(add, p, -np.arange(p))
 
     def moved(*ms: int) -> CorrelationReport:
         report = by_d[(ms[-1] - ms[0]) % p]

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legarray.arrays import IntArray, TernaryArray, deserialize, render, serialize
+from legarray.arrays import (
+    IntArray,
+    TernaryArray,
+    _read_canonical,
+    _read_tokens,
+    deserialize,
+    render,
+    serialize,
+)
 from legarray.correlation import full_correlation_fast
 from legarray.family import build_family
 from legarray.legendre import LegendreParams, legendre_array
@@ -23,6 +31,36 @@ def per_entry_nda(arr):
     for start in range(0, flat.size, width):
         lines.append(" ".join(str(int(v)) for v in flat[start : start + width]))
     return "\n".join(lines) + "\n"
+
+
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+@st.composite
+def nda_arrays(draw):
+    """(array, narrow): ranks 1-8 of extents 1-3, ternary or int; narrow
+    when the entries span fewer values than there are entries, so serialize
+    codes them by offset, else it sorts them through np.unique. Int entries
+    are offsets from any int64 (narrow), of up to 19 digits, or include
+    INT64_MIN and INT64_MAX."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=8)))
+    size = int(np.prod(dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ternary", "narrow", "digits", "extremes"]))
+    if kind == "ternary":
+        arr = random_ternary(rng, dims)
+    elif kind == "narrow":
+        lo = draw(st.integers(INT64_MIN, INT64_MAX - (size - 1)))
+        arr = IntArray(lo + rng.integers(0, size, size=dims, dtype=np.int64))
+    elif kind == "digits":
+        top = min(10 ** draw(st.integers(1, 19)) - 1, INT64_MAX)
+        arr = IntArray(rng.integers(-top, top, size=dims, dtype=np.int64, endpoint=True))
+    else:
+        values = rng.integers(INT64_MIN, INT64_MAX, size=size, dtype=np.int64, endpoint=True)
+        values[rng.permutation(size)[:2]] = [INT64_MIN, INT64_MAX][: min(size, 2)]
+        arr = IntArray(values.reshape(dims))
+    entries = arr.values.reshape(-1).tolist()
+    return arr, max(entries) - min(entries) < size
 
 
 def _written_arrays():
@@ -198,6 +236,25 @@ class TestNdaFormat:
                 for arr in (random_ternary(rng, dims), IntArray(ints)):
                     assert serialize(arr) == per_entry_nda(arr), (rank, dims, arr.kind)
 
+    @given(nda_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_entry_formatting_in_both_branches(self, drawn):
+        arr, narrow = drawn
+        assert serialize(arr) == per_entry_nda(arr), (arr.dims, arr.kind, narrow)
+
+    def test_strategy_reaches_both_branches(self):
+        seen = set()
+
+        @given(nda_arrays())
+        @settings(max_examples=100, deadline=None, database=None)
+        def collect(drawn):
+            arr, narrow = drawn
+            seen.add((arr.kind, narrow, arr.rank == 8))
+
+        collect()
+        assert {("int", True), ("int", False), ("ternary", True)} <= {s[:2] for s in seen}
+        assert any(rank8 for *_, rank8 in seen)
+
     def test_written_arrays_match_per_entry_formatting(self):
         count = 0
         for arr in _written_arrays():
@@ -229,10 +286,120 @@ class TestNdaFormat:
         with pytest.raises(ValueError, match=f"entry {entry} is outside the int64 range"):
             deserialize(f"NDA1\n1\n2\n{kind}\n0 {entry}\n")
 
+    def test_digit_boundary(self):
+        # 18 digits are read in the vectorised pass; 19 go through int()
+        for entry in ["999999999999999999", "-999999999999999999"]:
+            text = f"NDA1\n1\n2\nint\n0 {entry}\n"
+            assert _read_canonical(text) is not None
+            assert deserialize(text).values.tolist() == [0, int(entry)]
+        for entry in [str(INT64_MAX), str(INT64_MIN), "1000000000000000000"]:
+            text = f"NDA1\n1\n2\nint\n0 {entry}\n"
+            assert _read_canonical(text) is None
+            assert deserialize(text).values.tolist() == [0, int(entry)]
+        # so entries past int64 get int()'s range error
+        for entry in ["99999999999999999999", "9223372036854775808", "-9223372036854775809"]:
+            assert _read_canonical(f"NDA1\n1\n2\nint\n0 {entry}\n") is None
+
     def test_serialization_is_deterministic(self):
         rng = np.random.default_rng(29)
         arr = random_ternary(rng, (3, 3, 3))
         assert serialize(arr) == serialize(TernaryArray(arr.values.copy()))
+
+
+def _same_read(a, b):
+    (dims_a, kind_a, flat_a), (dims_b, kind_b, flat_b) = a, b
+    assert (dims_a, kind_a) == (dims_b, kind_b)
+    assert flat_a.dtype == flat_b.dtype == np.int64
+    assert flat_a.tolist() == flat_b.tolist()
+
+
+def _token_rewrites(token: str) -> list[str]:
+    """Spellings of token's value that int() reads but serialize never writes."""
+    sign, digits = ("-", token[1:]) if token.startswith("-") else ("", token)
+    rewrites = [
+        f"{sign}0{digits}",
+        f"{sign}0_{digits}",
+        sign + "".join(chr(0x660 + int(d)) for d in digits),  # ARABIC-INDIC digits
+    ]
+    if not sign:
+        rewrites.append(f"+{digits}")
+    if digits == "0":
+        rewrites.append("-0")
+    return rewrites
+
+
+def _layout_rewrites(text: str) -> list[str]:
+    """The same tokens in layouts other than the one serialize writes."""
+    magic, rank, extents, kind, body = text.split("\n", 4)
+    at = next(i for i, c in enumerate(body) if c in " \n")
+    return [
+        text[: len(text) - len(body) + at] + body[at] + body[at:],  # doubled separator
+        text[: len(text) - len(body) + at] + "\t" + body[at + 1 :],  # tab
+        text.replace("\n", "\r\n"),  # CRLF
+        text[:-1],  # no final newline
+        f"{magic}\n{rank} {extents} {kind}\n{body}",  # header on one line
+        " " + text,
+    ]
+
+
+class TestCanonicalRead:
+    """The vectorised pass against the int() path, entry by entry."""
+
+    @given(nda_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_text_reads_as_int_does(self, drawn):
+        arr, _ = drawn
+        text = serialize(arr)
+        canonical = _read_canonical(text)
+        # tokens of 19 digits and more are left to int()
+        assert (canonical is None) == any(abs(v) >= 10**18 for v in arr.values.reshape(-1).tolist())
+        if canonical is not None:
+            _same_read(canonical, _read_tokens(text))
+        assert deserialize(text) == arr
+
+    @given(nda_arrays(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rewrites_fall_back_to_the_same_array(self, drawn, data):
+        arr, _ = drawn
+        text = serialize(arr)
+        *head, body = text.split("\n", 4)
+        tokens = body.split()
+        i = data.draw(st.integers(0, len(tokens) - 1))
+        spelled = data.draw(st.sampled_from(_token_rewrites(tokens[i])))
+        retokened = "\n".join([*head, " ".join(tokens[:i] + [spelled] + tokens[i + 1 :]), ""])
+        for rewrite in [retokened, *_layout_rewrites(text)]:
+            assert _read_canonical(rewrite) is None, repr(rewrite[:80])
+            _same_read(_read_tokens(rewrite), _read_tokens(text))
+            assert deserialize(rewrite) == arr
+
+    def test_written_arrays_read_canonically(self):
+        for arr in _written_arrays():
+            text = serialize(arr)
+            _same_read(_read_canonical(text), _read_tokens(text))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "NDA1\n1\n2\nint\n1-2 3\n",
+            "NDA1\n1\n2\nint\n- 3\n",
+            "NDA1\n1\n2\nint\n--1 3\n",
+            "NDA1\n1\n2\nint\n1 2 3\n",
+            "NDA1\n1\n3\nint\n1 2\n",
+            "NDA1\n1\n0\nint\n\n",
+            "NDA1\n1\n02\nint\n1 2\n",
+            "NDA1\n01\n2\nint\n1 2\n",
+            "NDA1\n2\n2\nint\n1 2\n",
+            "NDA1\n1\n2\nfloat\n1 2\n",
+            "NDA1 \n1\n2\nint\n1 2\n",
+            "NDA1\n1\n2\nint\n1 2\n\n",
+            "NDA1\n1\n2\nint\n1 2 3",
+            "NDA1\n1\n2\nint\n-0 1\n",
+            "NDA1\n1\n2\nint\n01 1\n",
+            "NDA1\n1\n2\nint\n",
+        ],
+    )
+    def test_other_text_is_not_canonical(self, text):
+        assert _read_canonical(text) is None
 
 
 class TestRender:

@@ -418,6 +418,15 @@ class TestShearIndex:
             assert np.array_equal(forward[back], identity), m
             assert np.array_equal(back[forward], identity), m
 
+    @pytest.mark.parametrize("p,n", GRID)
+    def test_array_of_m_gives_each_index(self, p, n):
+        add = correlation._addition_table(p, n)
+        ms = np.array([0, 1, -1, p - 1, 2 * p + 1])
+        stacked = correlation._shear_index(add, p, ms)
+        assert stacked.shape == (ms.size, p ** (2 * n))
+        for m, index in zip(ms.tolist(), stacked):
+            assert np.array_equal(index, correlation._shear_index(add, p, m)), m
+
 
 class TestShearedKernel:
     @pytest.mark.parametrize("p,n", SHEARED_GRID)
