@@ -8,6 +8,7 @@ NDA text format, and grayscale rendering. Row-major (C) order throughout.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -24,6 +25,13 @@ def _check_int64_entries(values: np.ndarray) -> None:
     # only uint64 holds integers beyond int64, which a cast would wrap
     if values.dtype == np.uint64 and values.size and values.max() > _INT64_MAX:
         raise ValueError(f"entry {values[values > _INT64_MAX].flat[0]} is outside the int64 range")
+
+
+def _integer(value, name: str) -> int:
+    # numpy integers are numbers.Integral too; floats are refused, not truncated
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class _NdArray:
@@ -71,7 +79,7 @@ class _NdArray:
         return self.values.size
 
     def _check_index(self, idx, cyclic):
-        idx = tuple(int(i) for i in idx)
+        idx = tuple(_integer(i, "index") for i in idx)
         if len(idx) != self.rank:
             raise ValueError(f"index rank {len(idx)} != array rank {self.rank}")
         if cyclic:
@@ -85,19 +93,16 @@ class _NdArray:
         return int(self.values[self._check_index(idx, cyclic=False)])
 
     def set(self, idx, v) -> None:
+        """Store v at idx, refused by the constructor's rule for entries."""
         idx = self._check_index(idx, cyclic=False)
-        self._check_entry(int(v))
-        self.values[idx] = v
-
-    def _check_entry(self, v: int) -> None:
-        pass
+        self.values[idx] = type(self)([v]).values[0]
 
     def cyclic_get(self, idx) -> int:
         return int(self.values[self._check_index(idx, cyclic=True)])
 
     def cyclic_shift(self, offsets) -> "_NdArray":
         """New array with result[idx] = self[(idx + offsets) mod dims]."""
-        offsets = tuple(int(o) for o in offsets)
+        offsets = tuple(_integer(o, "offset") for o in offsets)
         if len(offsets) != self.rank:
             raise ValueError(f"offset rank {len(offsets)} != array rank {self.rank}")
         rolled = np.roll(self.values, tuple(-o for o in offsets), axis=tuple(range(self.rank)))
@@ -127,10 +132,6 @@ class TernaryArray(_NdArray):
         bad = arr[(arr < -1) | (arr > 1)]
         if bad.size:
             raise ValueError(f"ternary entries must be in {{-1,0,1}}, found {int(bad.flat[0])}")
-
-    def _check_entry(self, v: int) -> None:
-        if v not in (-1, 0, 1):
-            raise ValueError(f"ternary entries must be in {{-1,0,1}}, found {v}")
 
 
 class IntArray(_NdArray):

@@ -14,16 +14,17 @@ the identity). Three kernels compute such tables exactly:
   S_m(x, y) = A(x) * A(y - m*x) of a rank-n base A: with X as a p^n x p^n
   matrix, H[s, y] = A(y + s) and C = X @ H, theta_{X,S_m}(s, t) =
   (H @ C_m)[s, t - m*s] where C_m[y, u] = C[y, u - m*y] = C_{m-1}[y, u - y],
-  so p + 1 products give all p tables, each in sheared order. The
-  addition table of Z_p^n gives H and every shear index, (s, t) ->
-  (s, t - m*s) on flat indices. Every entry and partial sum is an integer
-  bounded by sum|X| * max|A|**2, so the BLAS products are exact in any
-  summation order in float32 below 2**24, in float64 below 2**53, and in
-  int64 up to 2**63 - 1. `member_tables` reads them back into table order
-  as int64; `member_peak` reads the global peak and the exact sum of
-  squares straight from them, for `extract`; and `verify_family` makes its
-  bound reports from the products of S_0: theta_{S_m,S_m'}(s, t) is
-  product m' - m at (s, t - m'*s), a bijection that fixes the zero shift.
+  so p + 1 products give all p tables, each in sheared order. One
+  addition table of Z_p^n per (p, n) gives H and every shear index,
+  (s, t) -> (s, t - m*s) on flat indices. Every entry and partial sum is
+  an integer bounded by sum|X| * max|A|**2, so the BLAS products are exact
+  in any summation order in float32 below 2**24, in float64 below 2**53,
+  and in int64 up to 2**63 - 1. Every read is forward, table entry (s, t)
+  from product entry (s, t - m*s): `member_tables` reads whole tables as int64; `member_peak` reads the
+  global peak and the exact sum of squares straight from the products, for
+  `extract`; and `verify_family` makes its bound reports from the products
+  of S_0: theta_{S_m,S_m'}(s, t) is product m' - m at (s, t - m'*s), a
+  bijection that fixes the zero shift.
 * `full_correlation_fast`, the FFT kernel of `corr --fast`, rounds its
   table to int64 behind a 2**53 refusal and a residual check.
 """
@@ -35,12 +36,13 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arrays import IntArray, _check_int64_entries
+from .arrays import IntArray, _integer
 from .fields import _check_odd_prime
 
 if TYPE_CHECKING:
@@ -79,7 +81,7 @@ def _theta_bound(a: np.ndarray, b: np.ndarray) -> int:
 def cross_correlation_at(a, b, shift) -> int:
     """theta_{a,b}(shift), exact. Shift components are reduced mod dims."""
     _check_same_dims(a, b)
-    shift = tuple(int(s) for s in shift)
+    shift = tuple(_integer(s, "shift") for s in shift)
     if len(shift) != a.rank:
         raise ValueError(f"shift rank {len(shift)} != array rank {a.rank}")
     _check_int64(_theta_bound(a.values, b.values))
@@ -119,15 +121,18 @@ def full_correlation(a, b) -> IntArray:
     return IntArray(_correlate(a.values, b.values))
 
 
+@lru_cache(maxsize=None)
 def _addition_table(p: int, n: int) -> np.ndarray:
     """The addition table of Z_p^n on flat C-order indices, q = p^n: entry
     [y, s] of the q x q table is the index of y + s. One broadcast sum per
-    digit, with only the p x p digit table reduced mod p."""
+    digit, with only the p x p digit table reduced mod p; built once per
+    (p, n) and read-only, so every shear, product and report shares it."""
     digit = np.add.outer(np.arange(p), np.arange(p)) % p
     add = digit
     for _ in range(n - 1):
         k = len(add)
         add = (add[:, None, :, None] * p + digit[:, None, :]).reshape(k * p, k * p)
+    add.flags.writeable = False
     return add
 
 
@@ -176,15 +181,11 @@ def _products(x, base, bound, add) -> Iterator[np.ndarray]:
 
 
 def _checked(x, base) -> tuple[np.ndarray, np.ndarray, int]:
-    # x and A as int64, and the bound sum|x| * max|A|**2, refused past int64
+    # x and A as IntArray takes them, and their bound sum|x| * max|A|**2
     x, base = np.asarray(x), np.asarray(base)
     if x.shape != base.shape * 2:
         raise ValueError(f"dimension mismatch: {x.shape} vs the members' {base.shape * 2}")
-    for values in (x, base):
-        if not np.issubdtype(values.dtype, np.integer):
-            raise ValueError(f"entries must be integers, got dtype {values.dtype}")
-        _check_int64_entries(values)
-    x, base = x.astype(np.int64, copy=False), base.astype(np.int64, copy=False)
+    x, base = IntArray(x).values, IntArray(base).values
     bound = _theta_bound(x, base) * int(_magnitudes(base).max())
     _check_int64(bound)
     return x, base, bound
@@ -197,9 +198,10 @@ def member_peak(x, base) -> tuple[int, int, tuple[int, ...], int]:
     it in (m, C order), and the exact integer sum of squares of all p * q**2
     entries, q = p^n. Read from the raw products, which hold each table in
     sheared order, (s, u) for (s, u + m*s): that changes neither a table's
-    maximum nor its sum of squares, and keeps each row s. A product's peak
-    is mapped back only when it beats the best so far. Refuses when called,
-    before any product, as member_tables does.
+    maximum nor its sum of squares, and keeps each row s. When a product's
+    peak beats the best so far, its row s is read forward in table order,
+    t -> (s, t - m*s), and its first maximum is the table's first peak.
+    Refuses when called, before any product, as member_tables does.
     """
     x, base, bound = _checked(x, base)
     p, q = base.shape[0], base.size
@@ -214,12 +216,10 @@ def member_peak(x, base) -> tuple[int, int, tuple[int, ...], int]:
         s, u = divmod(int(np.argmax(product)), q)
         value = int(product[s, u])
         if value > best:
-            # the table's first peak is in row s, at the least t = u' + m*s
-            # over the row's ties u': a q**2 shear index per improved peak
-            # would cost about 0.2 ms at (13,2)
-            ties = np.flatnonzero(product[s] == product[s, u])
-            t = int(add[ties, _multiples(p, q, m)[s]].min())
-            best, best_m, best_flat = value, m, s * q + t
+            # the table's first peak is in row s; entry t of that row is
+            # product[s, t - m*s], with t - m*s read from the addition table
+            row = product[s, add[_multiples(p, q, -m)[s]]]
+            best, best_m, best_flat = value, m, s * q + int(np.argmax(row))
     shift = tuple(int(k) for k in np.unravel_index(best_flat, x.shape))
     return best, best_m, shift, energy
 
@@ -431,9 +431,10 @@ def verify_family(
     no member is built. theta_{S_m,S_m'}(s, t) is entry (s, t - m'*s) of
     the d-th raw product of S_0, d = m' - m, a bijection fixing
     the zero shift: one bound report per d, made on the product itself,
-    serves every pair with that d, its attaining shifts mapped back through
-    the shear index of -m'. Refuses origin value a != 0, as those do, before
-    any table is made.
+    serves every pair with that d. A pair's attaining shifts are its
+    d-report's attaining mask read forward through the shear index of m',
+    so they come in C order with no sort. Refuses origin value a != 0, as
+    those do, before any table is made.
     """
     _check_auto(family.params)
     a = family.base.values
@@ -444,12 +445,14 @@ def verify_family(
         _bound_report(product.reshape(x.shape), q, *((0, d) if d else (0,)))
         for d, product in enumerate(_products(x, base, bound, add))
     ]
-    # entry s*q + u of back[m'] is the flat index of (s, u + m'*s)
-    back = _shear_index(add, p, -np.arange(p))
+    # entry s*q + t of forward[m'] is the flat index of (s, t - m'*s)
+    forward = _shear_index(add, p, np.arange(p))
+    attaining = [np.bincount(r.peak_shifts.flat, minlength=q * q) > 0 for r in by_d]
 
     def moved(*ms: int) -> CorrelationReport:
-        report = by_d[(ms[-1] - ms[0]) % p]
-        flat = np.sort(back[ms[-1]][report.peak_shifts.flat])
+        d = (ms[-1] - ms[0]) % p
+        report = by_d[d]
+        flat = np.flatnonzero(attaining[d][forward[ms[-1]]])
         return replace(
             report,
             members=ms,

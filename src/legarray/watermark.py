@@ -13,24 +13,16 @@ which encodes both the member index and all 2n shifts.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import TernaryArray
+from .arrays import TernaryArray, _integer
 from .correlation import member_peak
 from .family import ArrayFamily, FamilyMember
 from .images import GrayImage
 
 DEFAULT_SNR_THRESHOLD = 4.0
-
-
-def _integer(value, name: str) -> int:
-    # numpy integers are numbers.Integral too; floats are refused, not truncated
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from legarray.arrays import (
     render,
     serialize,
 )
-from legarray.correlation import full_correlation_fast
+from legarray.correlation import cross_correlation_at, full_correlation_fast
 from legarray.family import build_family
 from legarray.legendre import LegendreParams, legendre_array
 
@@ -145,6 +145,49 @@ class TestIndexing:
         arr = random_ternary(rng, (5, 4))
         assert arr.cyclic_get((5, 0)) == arr.get((0, 0))
         assert arr.cyclic_get((-1, 7)) == arr.get((4, 3))
+
+
+class TestScalarPaths:
+    """get, set, cyclic_get, cyclic_shift and cross_correlation_at take
+    integer indices, offsets, shifts and entries only, as the constructor
+    takes integer arrays only: nothing is truncated."""
+
+    @pytest.mark.parametrize("value", [1.5, 0.9, "1", np.float64(1.0), True])
+    def test_set_refuses_non_integer_entries(self, value):
+        arr = TernaryArray(np.zeros((2, 2), dtype=np.int8))
+        with pytest.raises(ValueError, match="entries must be integers"):
+            arr.set((0, 0), value)
+        assert arr.values.tolist() == [[0, 0], [0, 0]]
+
+    def test_int_set_past_int64_refused_like_the_constructor(self):
+        arr = IntArray(np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match=f"entry {2**63} is outside the int64 range"):
+            arr.set((0, 0), 2**63)
+        arr.set((0, 0), 2**63 - 1)
+        arr.set((1, 1), np.int8(-2**7))
+        arr.set((0, 1), -(2**63))
+        assert arr.values.tolist() == [[2**63 - 1, -(2**63)], [0, -128]]
+
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            (lambda arr: arr.get((1.7, 0.2)), "index"),
+            (lambda arr: arr.set((0, 0.0), 1), "index"),
+            (lambda arr: arr.cyclic_get((0.5, 1)), "index"),
+            (lambda arr: arr.cyclic_shift((1.5, 0)), "offset"),
+            (lambda arr: cross_correlation_at(arr, arr, (0.5, 1.5)), "shift"),
+        ],
+    )
+    def test_non_integer_positions_refused(self, call, name):
+        arr = TernaryArray([[1, 0], [-1, 1]])
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call(arr)
+
+    def test_numpy_integer_positions_accepted(self):
+        arr = TernaryArray([[1, 0], [-1, 1]])
+        assert arr.get((np.int64(1), np.uint8(0))) == -1
+        assert arr.cyclic_shift((np.int32(1), 0)) == arr.cyclic_shift((1, 0))
+        assert cross_correlation_at(arr, arr, np.array([0, 1])) == -2
 
 
 class TestCyclicShift:

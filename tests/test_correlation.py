@@ -418,6 +418,20 @@ class TestShearIndex:
             assert np.array_equal(forward[back], identity), m
             assert np.array_equal(back[forward], identity), m
 
+    def test_one_read_only_addition_table_per_p_n(self):
+        add = correlation._addition_table(5, 2)
+        assert correlation._addition_table(5, 2) is add
+        with pytest.raises(ValueError, match="read-only"):
+            add[0, 0] = 1
+        assert add[0, 0] == 0
+
+    def test_members_share_one_addition_table(self):
+        family = family_for(13, 2)
+        correlation._addition_table.cache_clear()
+        list(family)  # builds every member through shear
+        info = correlation._addition_table.cache_info()
+        assert (info.misses, info.hits) == (1, 12)
+
     @pytest.mark.parametrize("p,n", GRID)
     def test_array_of_m_gives_each_index(self, p, n):
         add = correlation._addition_table(p, n)
@@ -517,6 +531,31 @@ class TestShearedKernel:
         expected += [verify_cross_correlation(x, y) for x, y in pairs]
         assert auto + cross == expected
         assert [r.to_json_dict() for r in auto + cross] == [r.to_json_dict() for r in expected]
+
+    @pytest.mark.parametrize("p,n", [(3, 1), (5, 2), (3, 3)])
+    def test_verify_family_reads_shifts_forward(self, p, n, monkeypatch):
+        # a pair's shifts are its d-report's attaining mask read through the
+        # shear index of m' >= 0, already in C order: no sort, no index of -m'
+        family = family_for(p, n)
+        pairs = itertools.combinations(family, 2)
+        expected = [verify_autocorrelation(member) for member in family]
+        expected += [verify_cross_correlation(x, y) for x, y in pairs]
+        ms = []
+        real = correlation._shear_index
+
+        def recorded(add, p, m):
+            ms.append(np.asarray(m))
+            return real(add, p, m)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("verify_family sorted")
+
+        monkeypatch.setattr(correlation, "_shear_index", recorded)
+        monkeypatch.setattr(np, "sort", refused)
+        monkeypatch.setattr(np, "argsort", refused)
+        auto, cross = verify_family(family)
+        assert auto + cross == expected
+        assert ms and all((m >= 0).all() for m in ms)
 
     @pytest.mark.parametrize("p,n", SHEARED_GRID + [(11, 2), (13, 2), (3, 4)])
     def test_verify_family_products_run_in_float32(self, p, n):
@@ -687,6 +726,22 @@ class TestMemberTablesKernel:
                     kernel(np.zeros((3, 3, 3)), np.array([1, -1, 0]))
         assert dtypes == []
 
+    @pytest.mark.parametrize(
+        "x,base,message",
+        [
+            (np.array(1), np.array(1), "rank must be >= 1"),
+            (np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64), "zero-extent"),
+            (np.ones((1,) * 10, dtype=np.int64), np.ones((1,) * 5, dtype=np.int64), "rank 10"),
+        ],
+    )
+    def test_shapes_the_containers_refuse(self, x, base, message):
+        # x and A are checked as IntArray checks them, before any product
+        with product_dtypes() as dtypes:
+            for kernel in (member_tables, member_peak):
+                with pytest.raises(ValueError, match=message):
+                    kernel(x, base)
+        assert dtypes == []
+
     @pytest.mark.parametrize("which", ["x", "base"])
     def test_uint64_entries_past_int64_refused(self, which):
         # a cast would wrap 2**63 to -2**63 and answer for another array
@@ -807,6 +862,25 @@ class TestMemberPeak:
             value, m, shift, energy = member_peak(member.arr.values, family.base.values)
             assert (value, m, shift) == ((q - 1) ** 2, member.m, (0,) * (2 * n))
             assert energy == peak_by_definition(member.arr.values, family.base.values)[3]
+
+
+    def test_first_peak_among_a_row_of_ties(self, monkeypatch):
+        # S_1 shifted by (0, 1, 0, 0) plus S_1 shifted by (0, 1, 0, 1): table
+        # 1 peaks at both shifts, in row s = (0, 1), and its product holds
+        # them in the other order, at u = t - s
+        family = family_for(3, 2)
+        member, base = family[1].arr, family.base.values
+        x = member.cyclic_shift((0, 1, 0, 0)).values + member.cyclic_shift((0, 1, 0, 1)).values
+        row = list(member_tables(x, base))[1][0, 1]
+        assert np.count_nonzero(row == row.max()) == 2
+        expected = peak_by_definition(x, base)
+        assert expected[:3] == (row.max(), 1, (0, 1, 0, 0))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("member_peak built a tie set")
+
+        monkeypatch.setattr(np, "flatnonzero", refused)
+        assert member_peak(x, base) == expected
 
 
 class TestWelchMetrics:
