@@ -18,13 +18,18 @@ MAX_RANK = 8
 
 _RENDER_GRAY = np.array([255, 128, 0], dtype=np.uint8)  # gray of entry e at e + 1
 
-_INT64_MAX = np.iinfo(np.int64).max
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 
 def _check_int64_entries(values: np.ndarray) -> None:
-    # only uint64 holds integers beyond int64, which a cast would wrap
+    # a uint64 array holds integers past int64, which a cast would wrap, and
+    # numpy makes an object array of Python ints past uint64 or int64's low end
     if values.dtype == np.uint64 and values.size and values.max() > _INT64_MAX:
         raise ValueError(f"entry {values[values > _INT64_MAX].flat[0]} is outside the int64 range")
+    if values.dtype == object and all(isinstance(v, numbers.Integral) for v in values.flat):
+        for v in values.flat:
+            if not _INT64_MIN <= v <= _INT64_MAX:
+                raise ValueError(f"entry {v} is outside the int64 range")
 
 
 def _integer(value, name: str) -> int:
@@ -42,9 +47,9 @@ class _NdArray:
 
     def __init__(self, values):
         wide = np.asarray(values)
+        _check_int64_entries(wide)
         if not np.issubdtype(wide.dtype, np.integer):
             raise ValueError(f"entries must be integers, got dtype {wide.dtype}")
-        _check_int64_entries(wide)
         if wide.ndim < 1:
             raise ValueError("rank must be >= 1")
         if wide.ndim > MAX_RANK:

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,8 +67,105 @@ def _load_array(path: str):
     return arrays.deserialize(Path(path).read_text(encoding="utf-8"))
 
 
+# json.dumps's own str escaping: ASCII out, \uXXXX for the rest, lone
+# surrogates included
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(value) -> str | None:
+    # json.encoder's tests, in its order; None for a container or the unknown
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _json_int_rows(items, newline: str) -> str | None:
+    """The items of a list of exact ints, or of equal-length lists or tuples
+    of them, laid out as json.dumps lays them out after `newline`, in one
+    join or one %-format; None for any other list."""
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return ("," + newline).join(map(int.__repr__, items))
+    if not kinds <= {list, tuple} or len(widths := set(map(len, items))) != 1:
+        return None
+    cells = tuple(itertools.chain.from_iterable(items))
+    if set(map(type, cells)) != {int}:  # bools print as true/false, and no row is empty
+        return None
+    inner = newline + "  "
+    row = "[" + inner + ("," + inner).join(("%d",) * widths.pop()) + newline + "]"
+    return ("," + newline).join((row,) * len(items)) % cells
+
+
+def _json_parts(value, newline: str, parts: list[str]) -> None:
+    # appends the text of value, whose own line begins after `newline`
+    text = _json_scalar(value)
+    if text is not None:
+        parts.append(text)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        rows = _json_int_rows(value, inner)
+        if rows is not None:
+            parts += ("[", inner, rows, newline, "]")
+            return
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _json_parts(item, inner, parts)
+            separator = "," + inner
+        parts += (newline, "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            text = key if isinstance(key, str) else _json_scalar(key)
+            if text is None:
+                raise TypeError(
+                    f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+                )
+            parts += (separator, _quote(text), ": ")
+            _json_parts(item, inner, parts)
+            separator = "," + inner
+        parts += (newline, "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, refusing
+    what it refuses with TypeError. A list of exact ints, or of equal-length
+    lists of them (a report's shift matrix), is laid out at C speed in one
+    join or one %-format; everything else follows json.encoder's rules."""
+    parts: list[str] = []
+    _json_parts(obj, "\n", parts)
+    return "".join(parts)
+
+
 def _print_json(obj, out: str | None = None):
-    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+    """Write json.dumps(obj, indent=2, sort_keys=True) and a newline, as
+    `_json_text` builds it, to stdout or to the file `out`."""
+    _write_text(_json_text(obj) + "\n", out)
 
 
 def _cmd_gen_legendre(args) -> int:

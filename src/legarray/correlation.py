@@ -31,6 +31,7 @@ the identity). Three kernels compute such tables exactly:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections.abc import Iterator, Sequence
@@ -278,24 +279,60 @@ _METHODS = {"naive": full_correlation, "fast": full_correlation_fast}
 class PeakShifts(Sequence):
     """Shifts of a correlation table, in C order, each read as a tuple of ints.
 
-    Held as one int64 array of flat (C-order) indices into a table of the
-    given shape; a shift's tuple is made only when it is read. Compares
-    equal to another PeakShifts of the same shifts, or to the tuple of
-    their tuples.
+    Made from the q x q bool mask of the table's attaining entries, read
+    through an optional index: the shift at flat (C-order) index i is listed
+    when the mask holds at index[i], or at i with no index. The index must
+    map each row s of q entries onto row s, one to one, so that row s lists
+    as many shifts as the mask holds in it. Nothing is listed until read:
+    the length is the mask's count, the first k shifts come from its first
+    rows that hold k, and `flat`, every shift's int64 flat index, is made on
+    first use. A slice is listed at once. Compares equal to another
+    PeakShifts of the same shifts, or to the tuple of their tuples.
     """
 
-    __slots__ = ("flat", "shape")
+    __slots__ = ("shape", "_flat", "_mask", "_index", "_ends")
 
-    def __init__(self, flat: np.ndarray, shape: tuple[int, ...]):
-        self.flat = flat
+    def __init__(self, mask: np.ndarray, shape: tuple[int, ...], index: np.ndarray | None = None):
         self.shape = tuple(shape)
+        self._flat, self._mask, self._index = None, mask, index
+        self._ends = np.cumsum(mask.sum(axis=1)).tolist()  # _ends[s]: shifts in rows 0 .. s
+
+    @classmethod
+    def _made(cls, shape, flat=None, mask=None, index=None, ends=None) -> "PeakShifts":
+        # from its parts, with nothing summed again: listed shifts have no mask
+        shifts = cls.__new__(cls)
+        shifts.shape, shifts._flat = shape, flat
+        shifts._mask, shifts._index, shifts._ends = mask, index, ends
+        return shifts
+
+    def through(self, index: np.ndarray) -> "PeakShifts":
+        """The shifts of this one's mask read through the row-keeping
+        `index` in place of its own, with its count and row counts."""
+        return PeakShifts._made(self.shape, mask=self._mask, index=index, ends=self._ends)
+
+    def _first(self, k: int) -> np.ndarray:
+        # the first k shifts lie in rows 0 .. r, r the first row with k in rows 0 .. r
+        width = self._mask.shape[1]
+        end = (bisect.bisect_left(self._ends, k) + 1) * width
+        mask = self._mask.reshape(-1)
+        return np.flatnonzero(mask[:end] if self._index is None else mask[self._index[:end]])[:k]
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Every shift's flat (C-order) table index, int64, listed once."""
+        if self._flat is None:
+            self._flat = self._first(len(self))
+        return self._flat
 
     def __len__(self) -> int:
-        return len(self.flat)
+        return len(self._flat) if self._mask is None else self._ends[-1]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return PeakShifts(self.flat[i], self.shape)
+            start, stop, step = i.indices(len(self))
+            if self._flat is None and (start, step) == (0, 1):
+                return PeakShifts._made(self.shape, flat=self._first(stop))
+            return PeakShifts._made(self.shape, flat=self.flat[i])
         return tuple(int(c) for c in np.unravel_index(self.flat[i], self.shape))
 
     def __iter__(self):
@@ -312,8 +349,20 @@ class PeakShifts(Sequence):
         return f"PeakShifts({len(self)} shifts of {self.shape})"
 
     def tolist(self) -> list[list[int]]:
-        """Every shift as a list of ints, in order."""
-        return np.stack(np.unravel_index(self.flat, self.shape), axis=-1).tolist()
+        """Every shift as a list of ints, in order: the digits of each flat
+        index in the mixed radix of the table's shape."""
+        radix, dims = _radix(self.shape)
+        return (self.flat[:, None] // radix % dims).tolist()
+
+
+@lru_cache(maxsize=None)
+def _radix(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    # the C-order stride of each axis, in entries, and its extent: digit k
+    # of flat index i is i // radix[k] % dims[k]
+    radix = np.array([math.prod(shape[k + 1 :]) for k in range(len(shape))], dtype=np.int64)
+    dims = np.array(shape, dtype=np.int64)
+    radix.flags.writeable = dims.flags.writeable = False
+    return radix, dims
 
 
 @dataclass(frozen=True)
@@ -325,8 +374,8 @@ class CorrelationReport:
     `off_peak_max_abs`/`peak_shifts`/`value_histogram` cover all shifts.
     `peak_value` is always the correlation at the all-zero shift.
     `peak_shifts` holds every bounded shift where |theta| equals
-    `off_peak_max_abs`, in C order, as a `PeakShifts`: one int64 array of
-    flat table indices, read as a sequence of shift tuples.
+    `off_peak_max_abs`, in C order, as a `PeakShifts`: the table's attaining
+    mask, read as a sequence of shift tuples and listed only as far as read.
     """
 
     mode: str  # "auto" | "cross"
@@ -365,11 +414,11 @@ def _bound_report(table: np.ndarray, q: int, *ms: int) -> CorrelationReport:
     bound = q - 1 if auto else q + 1
     flat = table.reshape(-1)
     start = 1 if auto else 0
-    region = flat[start:]
-    abs_region = np.abs(region)
-    max_abs = int(abs_region.max())
-    attaining = np.flatnonzero(abs_region == max_abs) + start
-    values, counts = np.unique(region, return_counts=True)
+    magnitude = np.abs(flat)
+    max_abs = int(magnitude[start:].max())
+    attaining = magnitude == max_abs
+    attaining[:start] = False
+    values, counts = np.unique(flat[start:], return_counts=True)
     histogram = {int(v): int(c) for v, c in zip(values, counts)}
     observed = set(histogram)
     return CorrelationReport(
@@ -378,7 +427,7 @@ def _bound_report(table: np.ndarray, q: int, *ms: int) -> CorrelationReport:
         bound=bound,
         peak_value=int(flat[0]),
         off_peak_max_abs=max_abs,
-        peak_shifts=PeakShifts(attaining, table.shape),
+        peak_shifts=PeakShifts(attaining.reshape(q, q), table.shape),
         value_histogram=histogram,
         passed=max_abs <= bound,
         values_match_derivation=observed == {1, 1 - q} if auto else observed <= {1 - q, 1, q + 1},
@@ -433,7 +482,9 @@ def verify_family(
     the zero shift: one bound report per d, made on the product itself,
     serves every pair with that d. A pair's attaining shifts are its
     d-report's attaining mask read forward through the shear index of m',
-    so they come in C order with no sort. Refuses origin value a != 0, as
+    which keeps each row s: they come in C order with no sort, their count
+    is the d-report's, and none is listed until read, so the first k of a
+    pair cost its first rows that hold k. Refuses origin value a != 0, as
     those do, before any table is made.
     """
     _check_auto(family.params)
@@ -447,16 +498,13 @@ def verify_family(
     ]
     # entry s*q + t of forward[m'] is the flat index of (s, t - m'*s)
     forward = _shear_index(add, p, np.arange(p))
-    attaining = [np.bincount(r.peak_shifts.flat, minlength=q * q) > 0 for r in by_d]
 
     def moved(*ms: int) -> CorrelationReport:
-        d = (ms[-1] - ms[0]) % p
-        report = by_d[d]
-        flat = np.flatnonzero(attaining[d][forward[ms[-1]]])
+        report = by_d[(ms[-1] - ms[0]) % p]
         return replace(
             report,
             members=ms,
-            peak_shifts=PeakShifts(flat, report.peak_shifts.shape),
+            peak_shifts=report.peak_shifts.through(forward[ms[-1]]),
             value_histogram=dict(report.value_histogram),
         )
 

@@ -102,6 +102,25 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"entry {entry} is outside the int64 range"):
             cls(values)
 
+    @pytest.mark.parametrize("cls", [IntArray, TernaryArray])
+    @pytest.mark.parametrize("entry", [2**64, -(2**63) - 1, 10**30])
+    def test_python_ints_past_int64_refused(self, cls, entry):
+        # numpy holds these in an object array, not an integer one
+        message = f"entry {entry} is outside the int64 range"
+        with pytest.raises(ValueError, match=message):
+            cls([[0, 1], [entry, 0]])
+        arr = cls(np.zeros((2, 2), dtype=np.int8))
+        with pytest.raises(ValueError, match=message):
+            arr.set((1, 0), entry)
+        assert arr.values.tolist() == [[0, 0], [0, 0]]
+
+    @pytest.mark.parametrize(
+        "values", [[0.5, 2**64], [None, 2**64], np.array([1, 2], dtype=object)]
+    )
+    def test_object_entries_not_all_integers_refused_by_dtype(self, values):
+        with pytest.raises(ValueError, match="entries must be integers, got dtype object"):
+            IntArray(values)
+
     def test_uint64_entries_at_int64_max_accepted(self):
         arr = IntArray(np.full((3, 3), 2**63 - 1, dtype=np.uint64))
         assert arr.values.dtype == np.int64

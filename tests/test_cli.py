@@ -1,13 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legarray import arrays, correlation, family, images, watermark
-from legarray.cli import build_parser, main
+from legarray.cli import _json_text, build_parser, main
 
 from cli_usage_text import CLI_USAGE
 from reference_data import FLATTENED_S1, SEQ_P17, THETA_S1
@@ -51,6 +54,8 @@ VERIFY_STDOUT_SHA256 = {
         "5eb4c2df7b6b4733964c8f14bd29ba2945ae389fd172b55496e928cf5a002777",
     ("--p", "13", "--n", "2"):
         "912728966fe379e8f3099cd844703c92b0829f33497b21386f1459ab6040d6cf",
+    ("--p", "13", "--n", "2", "--full"):
+        "fd64f752eb495d794d2c02680000e2e6b800857d1f9c51407fbef964f4c07d27",
 }
 
 
@@ -247,7 +252,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "args",
         list(VERIFY_STDOUT_SHA256),
-        ids=["7-2", "7-2-full", "3-3", "3-3-full", "3-4", "3-4-full", "11-2", "13-2"],
+        ids=["7-2", "7-2-full", "3-3", "3-3-full", "3-4", "3-4-full", "11-2", "13-2", "13-2-full"],
     )
     def test_stdout_is_pinned(self, capsys, args):
         code, out, _ = run(capsys, "verify", *args)
@@ -275,6 +280,24 @@ class TestVerify:
         assert report["passed"] is True
         assert all(len(r["peak_shifts"]) == 8 for r in bound_reports(report))
 
+    def test_default_report_lists_no_pair_whole(self, capsys, monkeypatch):
+        # each pair's first 8 shifts come from the first rows of its mask:
+        # no gather handed to np.flatnonzero spans a whole q x q table
+        q = 13**2
+        sizes = []
+        real = np.flatnonzero
+
+        def recorded(a):
+            sizes.append(np.size(a))
+            return real(a)
+
+        monkeypatch.setattr(np, "flatnonzero", recorded)
+        code, out, _ = run(capsys, "verify", "--p", "13", "--n", "2")
+        assert code == 0
+        assert sizes and max(sizes) <= q * q // 10
+        digest = VERIFY_STDOUT_SHA256[("--p", "13", "--n", "2")]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_out_flag_writes_report_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "verify", "--p", "3", "--n", "2", "--out", str(target))
@@ -295,6 +318,79 @@ class TestVerify:
             code, out, _ = run(capsys, "verify", "--p", "3", "--n", "2", *full)
             assert code == 2
             assert json.loads(out)["passed"] is False
+
+
+# Strings with quotes, backslashes, control characters, non-ASCII text and
+# lone surrogates; ints past int64; floats json.dumps spells specially
+json_strings = st.text(
+    alphabet=st.one_of(
+        st.characters(),
+        st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\U0001f600'),
+        st.integers(0xD800, 0xDFFF).map(chr),
+    ),
+    max_size=8,
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324]),
+    json_strings,
+)
+json_ints = st.one_of(st.integers(-3, 12), st.integers(-(2**70), 2**70))
+# the shapes the writer lays out in bulk, and near misses: bools among the
+# ints and empty rows here, ragged rows and tuples from the containers below
+json_int_rows = st.integers(0, 4).flatmap(
+    lambda width: st.lists(
+        st.lists(st.one_of(json_ints, st.booleans()), min_size=width, max_size=width),
+        max_size=6,
+    )
+)
+json_values = st.recursive(
+    st.one_of(json_scalars, st.lists(json_ints, max_size=8), json_int_rows),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(json_strings, children, max_size=5),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @given(json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_extract_report_with_infinite_snr(self):
+        result = watermark.ExtractionResult(
+            payload=watermark.Payload(m=2, shifts=(1, 0, 3, 4)),
+            score=576,
+            snr=math.inf,
+            confident=True,
+        )
+        report = result.to_json_dict()
+        assert _json_text(report) == json.dumps(report, indent=2, sort_keys=True)
+        assert '"snr": Infinity' in _json_text(report)
+
+    def test_float_subclass_prints_as_float(self):
+        # json.dumps takes np.float64 for a float and refuses np.int64
+        value = {"snr": np.float64(0.1), "rows": [[np.float64(2.0), 1]]}
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.int64(1), [np.int64(1)], [[1, np.int64(2)]], {"a": np.bool_(True)}, {(1,): 2},
+         object()],
+    )
+    def test_refuses_what_json_dumps_refuses(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _json_text(value)
 
 
 class TestWelch:

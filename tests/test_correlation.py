@@ -314,6 +314,32 @@ class TestBoundReports:
         assert shifts != tuple(expected[:8]) and shifts != list(expected)
         assert CorrelationReport(**cross.__dict__) == cross
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_peak_shifts_read_through_a_row_keeping_index(self, seed):
+        # a random mask, and an index that permutes each row of q within it
+        rng = np.random.default_rng(seed)
+        shape, q = (3,) * 4, 9
+        mask = rng.random((q, q)) < 0.3
+        columns = rng.permuted(np.tile(np.arange(q), (q, 1)), axis=1)
+        index = (np.arange(q)[:, None] * q + columns).reshape(-1)
+        plain = PeakShifts(mask, shape)
+        cases = [(plain, np.flatnonzero(mask)),
+                 (plain.through(index), np.flatnonzero(mask.reshape(-1)[index]))]
+        for shifts, flat in cases:
+            expected = [tuple(int(c) for c in np.unravel_index(i, shape)) for i in flat]
+            assert len(shifts) == len(expected)
+            for k in (0, 1, 5, len(expected), len(expected) + 3):
+                assert shifts[:k] == tuple(expected[:k])
+            assert shifts[1::2] == tuple(expected[1::2]) and shifts[-1] == expected[-1]
+            assert list(shifts) == expected and shifts.tolist() == [list(s) for s in expected]
+
+    def test_zero_shift_never_attains_in_an_auto_report(self):
+        # |theta(0)| equals the off-peak maximum here; only the bounded shifts list
+        report = correlation._bound_report(np.array([[3, -3], [1, 3]]), 2, 0)
+        assert report.off_peak_max_abs == 3 and report.peak_shifts == ((0, 1), (1, 1))
+        cross = correlation._bound_report(np.array([[3, -3], [1, 3]]), 2, 0, 1)
+        assert cross.peak_shifts == ((0, 0), (0, 1), (1, 1))
+
     def test_json_dict_lists_first_shifts(self, family_3_2):
         cross = verify_cross_correlation(family_3_2[1], family_3_2[2])
         full = cross.to_json_dict()
@@ -822,6 +848,23 @@ def peak_cases(draw):
     return x, np.array(base, dtype=np.int64).reshape((p,) * n), dtype
 
 
+@st.composite
+def tied_peak_cases(draw):
+    """Two copies of one member S_m, m != 0, shifted to (s, t1) and (s, t2)
+    in one row s != 0, with float32 products. Table m peaks at both shifts
+    alike, as theta_{S_m,S_m} is even, and its product holds them at
+    t - m*s, in either order, so table and product order often disagree
+    on which tie comes first."""
+    p, n = draw(st.sampled_from([(3, 2), (5, 2), (3, 3)]))
+    family = family_for(p, n)
+    member = family[draw(st.integers(1, p - 1))].arr
+    digits = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    s = draw(digits.filter(any))
+    t1, t2 = draw(st.lists(digits, min_size=2, max_size=2, unique_by=tuple))
+    x = member.cyclic_shift(s + t1).values + member.cyclic_shift(s + t2).values
+    return x, family.base.values, np.float32
+
+
 def peak_by_definition(x, base):
     """member_peak by its definition on the int64 tables of member_tables:
     the first maximum in (m, C order) by np.argmax, and the sum of squares
@@ -835,8 +878,8 @@ def peak_by_definition(x, base):
 class TestMemberPeak:
     """The global peak and exact energy, read from the sheared products."""
 
-    @given(peak_cases())
-    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(peak_cases(), tied_peak_cases()))
+    @settings(max_examples=200, deadline=None)
     def test_equals_its_definition_on_member_tables(self, case):
         x, base, dtype = case
         with product_dtypes() as dtypes:
