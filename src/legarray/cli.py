@@ -8,7 +8,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -67,105 +66,89 @@ def _load_array(path: str):
     return arrays.deserialize(Path(path).read_text(encoding="utf-8"))
 
 
-# json.dumps's own str escaping: ASCII out, \uXXXX for the rest, lone
-# surrogates included
-_quote = json.encoder.encode_basestring_ascii
+# stands in for each part laid out by %-format after json.dumps, which
+# prints it as _HOLE_TEXT; a string prints as that only by being "\0"
+_HOLE = "\0"
+_HOLE_TEXT = json.dumps(_HOLE)
 
 
-def _json_scalar(value) -> str | None:
-    # json.encoder's tests, in its order; None for a container or the unknown
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    return None
+def _pieces(text: str, holes: int) -> list[str]:
+    """`text` split at each printed placeholder, checked to hold `holes`:
+    a value that printed as one would add a piece."""
+    pieces = text.split(_HOLE_TEXT)
+    if len(pieces) != holes + 1:
+        raise ValueError(f"a report value prints as the placeholder {_HOLE_TEXT}")
+    return pieces
 
 
-def _json_int_rows(items, newline: str) -> str | None:
-    """The items of a list of exact ints, or of equal-length lists or tuples
-    of them, laid out as json.dumps lays them out after `newline`, in one
-    join or one %-format; None for any other list."""
-    kinds = set(map(type, items))
-    if kinds == {int}:
-        return ("," + newline).join(map(int.__repr__, items))
-    if not kinds <= {list, tuple} or len(widths := set(map(len, items))) != 1:
-        return None
-    cells = tuple(itertools.chain.from_iterable(items))
-    if set(map(type, cells)) != {int}:  # bools print as true/false, and no row is empty
-        return None
+def _list_format(items: list[str], newline: str) -> str:
+    # json.dumps's indent=2 layout of a list of these item texts, the list
+    # opening on a line that begins after `newline`
+    if not items:
+        return "[]"
     inner = newline + "  "
-    row = "[" + inner + ("," + inner).join(("%d",) * widths.pop()) + newline + "]"
-    return ("," + newline).join((row,) * len(items)) % cells
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
-def _json_parts(value, newline: str, parts: list[str]) -> None:
-    # appends the text of value, whose own line begins after `newline`
-    text = _json_scalar(value)
-    if text is not None:
-        parts.append(text)
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        rows = _json_int_rows(value, inner)
-        if rows is not None:
-            parts += ("[", inner, rows, newline, "]")
-            return
-        separator = "[" + inner
-        for item in value:
-            parts.append(separator)
-            _json_parts(item, inner, parts)
-            separator = "," + inner
-        parts += (newline, "]")
-    elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in sorted(value.items()):
-            text = key if isinstance(key, str) else _json_scalar(key)
-            if text is None:
-                raise TypeError(
-                    f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-                )
-            parts += (separator, _quote(text), ": ")
-            _json_parts(item, inner, parts)
-            separator = "," + inner
-        parts += (newline, "}")
-    else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+def _report_texts(reports: list[correlation.CorrelationReport], shown: int | None):
+    """Each report's to_json_dict(max_shifts=shown) as json.dumps(indent=2,
+    sort_keys=True) prints it as an item of a list at depth 1. Reports of
+    one `body_key` print alike but for `members` and `peak_shifts`: each
+    body, member count and shift rank is dumped once, with a placeholder
+    for `members` and one for `peak_shifts`, and made into a %-format of
+    the members and the cells of the listed shifts."""
+    formats: dict[tuple, str] = {}
+    for r in reports:
+        rank = len(r.peak_shifts.shape)
+        layout = (r.body_key(), len(r.members), rank)
+        fmt = formats.get(layout)
+        if fmt is None:
+            count = len(r.peak_shifts)
+            body = r.to_json_dict(max_shifts=0)
+            body["members"] = body["peak_shifts"] = _HOLE
+            text = json.dumps(body, indent=2, sort_keys=True)
+            head, middle, tail = _pieces(text.replace("%", "%%").replace("\n", "\n    "), 2)
+            rows = count if shown is None else min(shown, count)
+            row = _list_format(["%d"] * rank, "\n        ")
+            fmt = formats[layout] = (
+                head
+                + _list_format(["%d"] * len(r.members), "\n      ")
+                + middle
+                + _list_format([row] * rows, "\n      ")
+                + tail
+            )
+        yield fmt % (*r.members, *itertools.chain.from_iterable(r.peak_shifts[:shown].tolist()))
 
 
-def _json_text(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, refusing
-    what it refuses with TypeError. A list of exact ints, or of equal-length
-    lists of them (a report's shift matrix), is laid out at C speed in one
-    join or one %-format; everything else follows json.encoder's rules."""
-    parts: list[str] = []
-    _json_parts(obj, "\n", parts)
-    return "".join(parts)
+def _reports_json(obj: dict, shown: int | None) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) byte for byte, with each
+    CorrelationReport item of the dict's list values printed as its
+    to_json_dict(max_shifts=shown): the dict is dumped once with a
+    placeholder for each report, and each report's text, from
+    `_report_texts`, goes in its place. Refuses, with ValueError, a value
+    that prints as the placeholder and a report that is not an item of a
+    list at depth 1."""
+    reports: list[correlation.CorrelationReport] = []
+
+    def hole(value):
+        if not isinstance(value, correlation.CorrelationReport):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        reports.append(value)
+        return _HOLE
+
+    pieces = _pieces(json.dumps(obj, indent=2, sort_keys=True, default=hole), len(reports))
+    if not all(piece.endswith("\n    ") for piece in pieces[:-1]):
+        raise ValueError("a report is not an item of a list at depth 1")
+    texts = [None] * (2 * len(reports) + 1)
+    texts[::2] = pieces
+    texts[1::2] = _report_texts(reports, shown)
+    return "".join(texts)
 
 
 def _print_json(obj, out: str | None = None):
-    """Write json.dumps(obj, indent=2, sort_keys=True) and a newline, as
-    `_json_text` builds it, to stdout or to the file `out`."""
-    _write_text(_json_text(obj) + "\n", out)
+    """Write json.dumps(obj, indent=2, sort_keys=True) and a newline to
+    stdout or to the file `out`."""
+    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
 
 
 def _cmd_gen_legendre(args) -> int:
@@ -199,18 +182,18 @@ def _cmd_verify(args) -> int:
     auto, cross = correlation.verify_family(build_family(base, params))
     metrics = correlation.welch_metrics(params.p, params.n)
     passed = all(r.passed for r in auto) and all(r.passed for r in cross)
-    shown = None if args.full else VERIFY_SHIFTS_SHOWN
     report = {
         "p": params.p,
         "n": params.n,
         "poly": params.poly.format() if params.poly else None,
-        "theorem1": [r.to_json_dict(max_shifts=shown) for r in auto],
-        "theorem2": [r.to_json_dict(max_shifts=shown) for r in cross],
+        "theorem1": auto,
+        "theorem2": cross,
         "m_zero_passed": auto[0].passed,
         "welch": metrics.to_json_dict(),
         "passed": passed,
     }
-    _print_json(report, args.out)
+    shown = None if args.full else VERIFY_SHIFTS_SHOWN
+    _write_text(_reports_json(report, shown) + "\n", args.out)
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 

@@ -35,7 +35,7 @@ import bisect
 import itertools
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -315,7 +315,7 @@ class PeakShifts(Sequence):
         width = self._mask.shape[1]
         end = (bisect.bisect_left(self._ends, k) + 1) * width
         mask = self._mask.reshape(-1)
-        return np.flatnonzero(mask[:end] if self._index is None else mask[self._index[:end]])[:k]
+        return (mask[:end] if self._index is None else mask[self._index[:end]]).nonzero()[0][:k]
 
     @property
     def flat(self) -> np.ndarray:
@@ -405,6 +405,13 @@ class CorrelationReport:
             "values_match_derivation": self.values_match_derivation,
         }
 
+    def body_key(self) -> tuple:
+        """Every value `to_json_dict` prints but `members` and `peak_shifts`,
+        hashable: reports with equal keys print alike but for those two."""
+        return (self.mode, self.bound, self.peak_value, self.off_peak_max_abs,
+                len(self.peak_shifts), tuple(sorted(self.value_histogram.items())),
+                self.passed, self.values_match_derivation)
+
 
 def _bound_report(table: np.ndarray, q: int, *ms: int) -> CorrelationReport:
     # One member index (auto) bounds every shift but the zero shift, flat
@@ -418,8 +425,12 @@ def _bound_report(table: np.ndarray, q: int, *ms: int) -> CorrelationReport:
     max_abs = int(magnitude[start:].max())
     attaining = magnitude == max_abs
     attaining[:start] = False
-    values, counts = np.unique(flat[start:], return_counts=True)
-    histogram = {int(v): int(c) for v, c in zip(values, counts)}
+    # each bounded entry v lies in [-max_abs, max_abs]: counted at v + max_abs
+    offset = flat[start:].astype(np.intp)
+    offset += max_abs
+    counts = np.bincount(offset)
+    seen = np.flatnonzero(counts)
+    histogram = dict(zip((seen - max_abs).tolist(), counts[seen].tolist()))
     observed = set(histogram)
     return CorrelationReport(
         mode="auto" if auto else "cross",
@@ -484,8 +495,11 @@ def verify_family(
     d-report's attaining mask read forward through the shear index of m',
     which keeps each row s: they come in C order with no sort, their count
     is the d-report's, and none is listed until read, so the first k of a
-    pair cost its first rows that hold k. Refuses origin value a != 0, as
-    those do, before any table is made.
+    pair cost its first rows that hold k. Each report is made with its own
+    copy of the histogram; reports of one d differ only in `members` and
+    `peak_shifts`, so their other fields print alike (the `verify` writer
+    dumps each distinct body once). Refuses origin value a != 0, as those
+    do, before any table is made.
     """
     _check_auto(family.params)
     a = family.base.values
@@ -500,12 +514,12 @@ def verify_family(
     forward = _shear_index(add, p, np.arange(p))
 
     def moved(*ms: int) -> CorrelationReport:
-        report = by_d[(ms[-1] - ms[0]) % p]
-        return replace(
-            report,
-            members=ms,
-            peak_shifts=report.peak_shifts.through(forward[ms[-1]]),
-            value_histogram=dict(report.value_histogram),
+        r = by_d[(ms[-1] - ms[0]) % p]
+        return CorrelationReport(
+            mode=r.mode, members=ms, bound=r.bound, peak_value=r.peak_value,
+            off_peak_max_abs=r.off_peak_max_abs, peak_shifts=r.peak_shifts.through(forward[ms[-1]]),
+            value_histogram=dict(r.value_histogram), passed=r.passed,
+            values_match_derivation=r.values_match_derivation,
         )
 
     auto = [moved(m) for m in range(p)]

@@ -6,11 +6,9 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from legarray import arrays, correlation, family, images, watermark
-from legarray.cli import _json_text, build_parser, main
+from legarray.cli import _print_json, _reports_json, build_parser, main
 
 from cli_usage_text import CLI_USAGE
 from reference_data import FLATTENED_S1, SEQ_P17, THETA_S1
@@ -320,52 +318,126 @@ class TestVerify:
             assert json.loads(out)["passed"] is False
 
 
-# Strings with quotes, backslashes, control characters, non-ASCII text and
-# lone surrogates; ints past int64; floats json.dumps spells specially
-json_strings = st.text(
-    alphabet=st.one_of(
-        st.characters(),
-        st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\U0001f600'),
-        st.integers(0xD800, 0xDFFF).map(chr),
-    ),
-    max_size=8,
-)
-json_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(-(2**80), 2**80),
-    st.floats(),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324]),
-    json_strings,
-)
-json_ints = st.one_of(st.integers(-3, 12), st.integers(-(2**70), 2**70))
-# the shapes the writer lays out in bulk, and near misses: bools among the
-# ints and empty rows here, ragged rows and tuples from the containers below
-json_int_rows = st.integers(0, 4).flatmap(
-    lambda width: st.lists(
-        st.lists(st.one_of(json_ints, st.booleans()), min_size=width, max_size=width),
-        max_size=6,
+def synthetic_report(rank=2, count=9, members=(0, 1), **fields):
+    """A CorrelationReport on a table of extent 3 per axis, `rank` axes,
+    whose attaining mask holds `count` shifts spread over its rows."""
+    side = 3 ** (rank // 2)
+    mask = np.zeros(side * side, dtype=bool)
+    mask[np.linspace(0, side * side - 1, count).astype(int)] = True
+    values = {"mode": "cross", "bound": 10, "peak_value": 1, "off_peak_max_abs": 10,
+              "value_histogram": {-8: 24, 1: 48, 10: 9}, "passed": True,
+              "values_match_derivation": True}
+    values.update(fields)
+    return correlation.CorrelationReport(
+        members=members,
+        peak_shifts=correlation.PeakShifts(mask.reshape(side, side), (3,) * rank),
+        **values,
     )
-)
-json_values = st.recursive(
-    st.one_of(json_scalars, st.lists(json_ints, max_size=8), json_int_rows),
-    lambda children: st.one_of(
-        st.lists(children, max_size=5),
-        st.lists(children, max_size=3).map(tuple),
-        st.dictionaries(json_strings, children, max_size=5),
-    ),
-    max_leaves=20,
-)
+
+
+def assert_renders_as_json_dumps(reports, shown, **top):
+    # the report list at depth 1, with the dict's other values around it
+    obj = {"reports": list(reports), **top}
+    expected = {**obj, "reports": [r.to_json_dict(max_shifts=shown) for r in reports]}
+    assert _reports_json(obj, shown) == json.dumps(expected, indent=2, sort_keys=True)
 
 
 class TestJsonWriter:
-    @given(json_values)
-    @settings(max_examples=150, deadline=None)
-    def test_equals_json_dumps(self, value):
-        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    def test_equals_json_dumps(self):
+        # random reports from small pools of field values, so that bodies
+        # repeat, differ in one field or in several, and share layouts
+        rng = np.random.default_rng(7)
+        pools = {"mode": ["auto", "cross"], "bound": [8, 10], "peak_value": [1, 80],
+                 "off_peak_max_abs": [8, 10], "passed": [True, False],
+                 "values_match_derivation": [True, False],
+                 "value_histogram": [{-8: 8, 1: 72}, {-8: 24, 1: 48, 10: 9}, {}]}
+        for _ in range(40):
+            reports = [
+                synthetic_report(
+                    rank=int(rng.choice([2, 4])),
+                    count=int(rng.choice([0, 1, 5, 9])),
+                    members=tuple(int(m) for m in rng.integers(0, 13, int(rng.integers(0, 4)))),
+                    **{k: pool[int(rng.integers(len(pool)))] for k, pool in pools.items()},
+                )
+                for _ in range(int(rng.integers(0, 12)))
+            ]
+            shown = [None, 0, 3, 8][int(rng.integers(4))]
+            assert_renders_as_json_dumps(reports, shown, p=3, welch={"approx": 0.5})
 
-    def test_extract_report_with_infinite_snr(self):
+    @pytest.mark.parametrize("rank", [2, 4, 6])
+    @pytest.mark.parametrize("shown", [0, 1, 8, None])
+    def test_shift_matrices_of_every_listed_length(self, rank, shown):
+        # 0, 1 and 8 listed shifts, or all of them, of tables with 2, 4 and 6 axes
+        counts = [0, 1, 8, 9] if rank == 2 else [0, 1, 8, 30]
+        reports = [synthetic_report(rank, count, members=(m, m + 1))
+                   for m, count in enumerate(counts)]
+        assert_renders_as_json_dumps(reports + reports[::-1], shown)
+
+    def test_bodies_differing_in_one_field(self):
+        # each variant differs from the base in one printed field only, so
+        # sharing its body would print the base's value for it
+        base = synthetic_report()
+        variants = [
+            synthetic_report(mode="auto"),
+            synthetic_report(bound=11),
+            synthetic_report(peak_value=2),
+            synthetic_report(off_peak_max_abs=9),
+            synthetic_report(count=8),
+            synthetic_report(value_histogram={-8: 24, 1: 48, 10: 8}),
+            synthetic_report(value_histogram={-8: 24, 2: 48, 10: 9}),
+            synthetic_report(passed=False),
+            synthetic_report(values_match_derivation=False),
+        ]
+        reports = []
+        for i, variant in enumerate(variants):
+            reports += [variant, base, dataclasses.replace(base, members=(i,) * (i % 4))]
+        for shown in (8, None):
+            assert_renders_as_json_dumps(reports, shown)
+
+    def test_body_key_holds_every_printed_field(self):
+        # a report that differs from the base in any one field but `members`
+        # and `peak_shifts`, or in its shift count, has a key of its own;
+        # a field added to the report must be given a variant here
+        base = synthetic_report()
+        variants = {bool: lambda v: not v, int: lambda v: v + 1, str: lambda v: v + "x",
+                    dict: lambda v: {**v, 99: 1}}
+        for field in dataclasses.fields(correlation.CorrelationReport):
+            if field.name in ("members", "peak_shifts"):
+                continue
+            value = getattr(base, field.name)
+            other = dataclasses.replace(base, **{field.name: variants[type(value)](value)})
+            assert other.body_key() != base.body_key(), field.name
+        assert synthetic_report(count=8).body_key() != base.body_key()
+        assert dataclasses.replace(base, members=(5,)).body_key() == base.body_key()
+
+    def test_equal_bodies_with_shifts_of_other_ranks(self):
+        # one body, and shift rows 2, 4 and 6 wide
+        reports = [synthetic_report(rank, count=1) for rank in (2, 4, 6, 2)]
+        assert_renders_as_json_dumps(reports, 8)
+
+    @pytest.mark.parametrize("mode", ['x\0y', "\0\0", "%s %d %%", 'q"\\\n\u00e9'])
+    def test_strings_print_as_json_dumps_prints_them(self, mode):
+        assert_renders_as_json_dumps([synthetic_report(mode=mode), synthetic_report()], 8,
+                                     poly=mode)
+
+    @pytest.mark.parametrize("where", ["report", "dict"])
+    def test_refuses_a_value_printed_as_the_placeholder(self, where):
+        # "\0" prints as the placeholder: the piece count shows it
+        if where == "report":
+            obj = {"reports": [synthetic_report(mode="\0")]}
+        else:
+            obj = {"reports": [synthetic_report()], "poly": "\0"}
+        with pytest.raises(ValueError, match="placeholder"):
+            _reports_json(obj, 8)
+
+    def test_refuses_a_report_that_is_not_an_item_of_a_top_level_list(self):
+        # its body is laid out for that depth only
+        report = synthetic_report()
+        for obj in ({"r": report}, {"r": [report], "s": [[report]]}, {"r": {"s": [report]}}):
+            with pytest.raises(ValueError, match="depth 1"):
+                _reports_json(obj, 8)
+
+    def test_extract_report_with_infinite_snr(self, capsys):
         result = watermark.ExtractionResult(
             payload=watermark.Payload(m=2, shifts=(1, 0, 3, 4)),
             score=576,
@@ -373,13 +445,16 @@ class TestJsonWriter:
             confident=True,
         )
         report = result.to_json_dict()
-        assert _json_text(report) == json.dumps(report, indent=2, sort_keys=True)
-        assert '"snr": Infinity' in _json_text(report)
+        _print_json(report)
+        out = capsys.readouterr().out
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert '"snr": Infinity' in out
 
     def test_float_subclass_prints_as_float(self):
-        # json.dumps takes np.float64 for a float and refuses np.int64
-        value = {"snr": np.float64(0.1), "rows": [[np.float64(2.0), 1]]}
-        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        # json.dumps takes np.float64 for a float, with no call to the
+        # writer's hook, which takes only reports
+        assert_renders_as_json_dumps([synthetic_report()], 8, snr=np.float64(0.1),
+                                     rows=[[np.float64(2.0), 1]])
 
     @pytest.mark.parametrize(
         "value",
@@ -387,10 +462,11 @@ class TestJsonWriter:
          object()],
     )
     def test_refuses_what_json_dumps_refuses(self, value):
+        # the writer's hook takes reports and nothing else
         with pytest.raises(TypeError):
             json.dumps(value, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
-            _json_text(value)
+            _reports_json({"value": value, "reports": [synthetic_report()]}, 8)
 
 
 class TestWelch:

@@ -1,4 +1,6 @@
+import collections
 import contextlib
+import dataclasses
 import functools
 import itertools
 import math
@@ -340,6 +342,22 @@ class TestBoundReports:
         cross = correlation._bound_report(np.array([[3, -3], [1, 3]]), 2, 0, 1)
         assert cross.peak_shifts == ((0, 0), (0, 1), (1, 1))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    @pytest.mark.parametrize("low,high", [(-40, 41), (-5, -4), (0, 1)])
+    def test_value_histogram_counts_each_bounded_entry(self, dtype, low, high):
+        # any values, of the oracle's int64 or the products' float32; the
+        # zero shift is left out of an auto report's histogram, and the table
+        # is left as it was
+        table = np.random.default_rng(3).integers(low, high, (3,) * 4).astype(dtype)
+        table.reshape(-1)[0] = 99
+        values = table.reshape(-1).astype(int).tolist()
+        auto = correlation._bound_report(table, 9, 0)
+        cross = correlation._bound_report(table, 9, 0, 1)
+        assert auto.value_histogram == collections.Counter(values[1:])
+        assert cross.value_histogram == collections.Counter(values)
+        assert {type(x) for item in cross.value_histogram.items() for x in item} == {int}
+        assert table.reshape(-1).astype(int).tolist() == values
+
     def test_json_dict_lists_first_shifts(self, family_3_2):
         cross = verify_cross_correlation(family_3_2[1], family_3_2[2])
         full = cross.to_json_dict()
@@ -618,6 +636,35 @@ class TestShearedKernel:
         auto, cross = verify_family(family_for(p, n))
         assert calls == [(0,)] + [(0, d) for d in range(1, p)]
         assert len(auto) + len(cross) == p * (p + 1) // 2
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 3), (3, 4)])
+    def test_reports_of_one_difference_print_one_body(self, p, n, monkeypatch):
+        # what lets `verify` dump each distinct body once: every report is
+        # its d-report, d = m' - m, moved to its members, its shifts read
+        # through the shear index of m', with a histogram of its own
+        by_d = []
+        real = correlation._bound_report
+
+        def kept(table, q, *ms):
+            by_d.append(real(table, q, *ms))
+            return by_d[-1]
+
+        monkeypatch.setattr(correlation, "_bound_report", kept)
+        auto, cross = verify_family(family_for(p, n))
+        forward = correlation._shear_index(correlation._addition_table(p, n), p, np.arange(p))
+        pairs = [(m,) for m in range(p)] + list(itertools.combinations(range(p), 2))
+        bodies = {}
+        for ms, report in zip(pairs, auto + cross, strict=True):
+            d_report = by_d[(ms[-1] - ms[0]) % p]
+            shifts = d_report.peak_shifts.through(forward[ms[-1]])
+            assert report == dataclasses.replace(d_report, members=ms, peak_shifts=shifts)
+            assert report.value_histogram is not d_report.value_histogram
+            body = report.to_json_dict(max_shifts=0)
+            del body["members"], body["peak_shifts"]
+            assert bodies.setdefault((ms[-1] - ms[0]) % p, body) == body
+        # and on a Legendre family every d != 0 prints the same body
+        assert all(body == bodies[1] for d, body in bodies.items() if d)
+        assert bodies[0] != bodies[1]
 
 
 INT64_MAX = int(np.iinfo(np.int64).max)
