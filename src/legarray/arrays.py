@@ -182,31 +182,21 @@ def serialize(arr: _NdArray) -> str:
 _MAX_DIGITS = 18  # every integer of up to 18 digits fits in int64
 
 
-def _read_canonical(text: str) -> tuple[tuple[int, ...], str, np.ndarray] | None:
-    """(dims, kind, flat int64 entries) of text in the layout serialize
-    writes, read in one vectorised pass; None for any other text.
+def _read_canonical(body: str, count: int) -> np.ndarray | None:
+    """The `count` int64 entries of an NDA body in the layout serialize
+    writes, read in one vectorised pass; None for any other body.
 
-    The layout: the header serialize would write for the parsed rank, dims
-    and kind, then an ASCII body in which every token is str() of an int of
-    at most 18 digits (0 or -?[1-9][0-9]*) followed by exactly one ' ' or
-    '\n'. Each token's digits are read from a right-aligned (width x
-    tokens) digit matrix, one row per decimal place.
+    The layout: ASCII, every token str() of an int of at most 18 digits
+    (0 or -?[1-9][0-9]*) followed by exactly one ' ' or '\n'. Each token's
+    digits are read from a right-aligned (width x tokens) digit matrix, one
+    row per decimal place.
     """
-    head = text.split("\n", 4)
-    if len(head) < 5 or head[3] not in ("ternary", "int"):
-        return None
-    extents = head[2].split(" ")
-    if not all(e.isascii() and e.isdigit() for e in extents):
-        return None
-    dims = tuple(int(e) for e in extents)
-    kind, body = head[3], head[4]
-    header = f"NDA1\n{len(dims)}\n{' '.join(str(d) for d in dims)}\n{kind}\n"
-    if min(dims) < 1 or not text.startswith(header) or not body.isascii():
+    if not body.isascii():
         return None
     b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
     sep = (b == ord(" ")) | (b == ord("\n"))
     ends = np.flatnonzero(sep)
-    if ends.size != math.prod(dims) or not sep[-1]:
+    if ends.size != count or not sep[-1]:
         return None
     size = np.diff(ends, prepend=-1) - 1  # characters per token
     # 1 where a token starts with '-', as int8: a random bool mask would
@@ -232,64 +222,67 @@ def _read_canonical(text: str) -> tuple[tuple[int, ...], str, np.ndarray] | None
         flat *= 10
         flat += row
     flat *= 1 - 2 * neg
-    return dims, kind, flat
+    return flat
 
 
-def _read_tokens(text: str) -> tuple[tuple[int, ...], str, np.ndarray]:
-    """(dims, kind, flat int64 entries) of any NDA1 text: whitespace-split
-    tokens, each distinct entry token parsed once with int()."""
-    magic, _, rest = text.partition("\n")
-    if magic.strip() != "NDA1":
-        raise ValueError("not an NDA1 file (bad magic)")
-    body = rest.split()
-    if len(body) < 3:
-        raise ValueError("truncated NDA header")
-    try:
-        rank = int(body[0])
-    except ValueError:
-        raise ValueError(f"bad rank field {body[0]!r}") from None
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    if len(body) < 1 + rank + 1:
-        raise ValueError("truncated NDA header")
-    try:
-        dims = tuple(int(t) for t in body[1 : 1 + rank])
-    except ValueError:
-        raise ValueError("bad extent field") from None
-    if any(d < 1 for d in dims):
-        raise ValueError(f"extents must be positive, got {dims}")
-    kind = body[1 + rank]
-    if kind not in ("ternary", "int"):
-        raise ValueError(f"unknown entry kind {kind!r}")
-    entries = body[2 + rank :]
-    expected = 1
-    for d in dims:
-        expected *= d
-    if len(entries) != expected:
-        raise ValueError(f"expected {expected} entries, got {len(entries)}")
+def _read_tokens(body: str, count: int) -> np.ndarray:
+    """The `count` int64 entries of any NDA body: whitespace-split tokens,
+    each distinct token parsed once with int()."""
+    entries = body.split()
+    if len(entries) != count:
+        raise ValueError(f"expected {count} entries, got {len(entries)}")
     try:
         parsed = {t: int(t) for t in set(entries)}
     except ValueError:
         raise ValueError("non-integer entry in NDA body") from None
     try:
-        flat = np.fromiter(map(parsed.__getitem__, entries), dtype=np.int64, count=expected)
+        return np.fromiter(map(parsed.__getitem__, entries), dtype=np.int64, count=count)
     except OverflowError:
         bad = next(t for t in entries if not -(2**63) <= parsed[t] < 2**63)
         raise ValueError(f"entry {bad} is outside the int64 range") from None
-    return dims, kind, flat
 
 
 def deserialize(text: str) -> _NdArray:
     """Parse the NDA text format.
 
-    Text in the layout serialize writes is read in one vectorised pass
-    (_read_canonical). Any other text, such as other whitespace, signs,
-    leading zeros, or tokens of 19 digits and more, is split on whitespace
-    and each distinct token parsed with int() (_read_tokens). Both give the
-    same array; entries must fit in int64.
+    The header is parsed once: the magic line, then rank, extents and kind
+    split on whitespace. A body in the layout serialize writes is read in
+    one vectorised pass (_read_canonical). Any other body, such as other
+    whitespace, signs, leading zeros, or tokens of 19 digits and more, is
+    split on whitespace and each distinct token parsed with int()
+    (_read_tokens). Both give the same entries; they must fit in int64.
     """
-    parsed = _read_canonical(text)
-    dims, kind, flat = _read_tokens(text) if parsed is None else parsed
+    magic, _, rest = text.partition("\n")
+    if magic.strip() != "NDA1":
+        raise ValueError("not an NDA1 file (bad magic)")
+    head = rest.split(None, 2)
+    if len(head) < 3:
+        raise ValueError("truncated NDA header")
+    try:
+        rank = int(head[0])
+    except ValueError:
+        raise ValueError(f"bad rank field {head[0]!r}") from None
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+    # rank, the extents, the kind and the rest, the body; no text holds more
+    # tokens than characters, so a rank past its length leaves too few fields
+    fields = rest.split(None, min(rank, len(rest)) + 2)
+    if len(fields) < rank + 2:
+        raise ValueError("truncated NDA header")
+    try:
+        dims = tuple(int(t) for t in fields[1 : rank + 1])
+    except ValueError:
+        raise ValueError("bad extent field") from None
+    if any(d < 1 for d in dims):
+        raise ValueError(f"extents must be positive, got {dims}")
+    kind = fields[rank + 1]
+    if kind not in ("ternary", "int"):
+        raise ValueError(f"unknown entry kind {kind!r}")
+    body = fields[rank + 2] if len(fields) > rank + 2 else ""
+    count = math.prod(dims)
+    flat = _read_canonical(body, count)
+    if flat is None:
+        flat = _read_tokens(body, count)
     cls = TernaryArray if kind == "ternary" else IntArray
     return cls.from_flat(dims, flat)
 

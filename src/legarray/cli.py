@@ -9,6 +9,7 @@ import functools
 import itertools
 import json
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import arrays, correlation, images, legendre, watermark
@@ -55,19 +56,22 @@ def _legendre_from(args, a=0) -> tuple[legendre.LegendreParams, arrays.TernaryAr
     return params, legendre.legendre_array(params)
 
 
-def _write_text(text: str, out: str | None):
+def _write_text(pieces: Iterable[str], out: str | None):
+    """Write the pieces of a text, in order, to stdout or to the file `out`."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.writelines(pieces)
 
 
 def _load_array(path: str):
     return arrays.deserialize(Path(path).read_text(encoding="utf-8"))
 
 
-# stands in for each part laid out by %-format after json.dumps, which
-# prints it as _HOLE_TEXT; a string prints as that only by being "\0"
+# stands in for each part laid out after json.dumps (a list of reports, or
+# the members and shifts of a report's %-format), which prints it as
+# _HOLE_TEXT; a string prints as that only by being "\0"
 _HOLE = "\0"
 _HOLE_TEXT = json.dumps(_HOLE)
 
@@ -81,22 +85,25 @@ def _pieces(text: str, holes: int) -> list[str]:
     return pieces
 
 
-def _list_format(items: list[str], newline: str) -> str:
-    # json.dumps's indent=2 layout of a list of these item texts, the list
-    # opening on a line that begins after `newline`
-    if not items:
-        return "[]"
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join(items) + newline + "]"
+def _list_pieces(items: Iterable[str], newline: str):
+    # json.dumps's indent=2 layout of a list of these item texts, piece by
+    # piece, the list opening on a line that begins after `newline`
+    opening, inner = "[", newline + "  "
+    for item in items:
+        yield opening + inner
+        yield item
+        opening = ","
+    yield "[]" if opening == "[" else newline + "]"
 
 
 def _report_texts(reports: list[correlation.CorrelationReport], shown: int | None):
     """Each report's to_json_dict(max_shifts=shown) as json.dumps(indent=2,
-    sort_keys=True) prints it as an item of a list at depth 1. Reports of
-    one `body_key` print alike but for `members` and `peak_shifts`: each
-    body, member count and shift rank is dumped once, with a placeholder
-    for `members` and one for `peak_shifts`, and made into a %-format of
-    the members and the cells of the listed shifts."""
+    sort_keys=True) prints it as an item of a list at depth 1, one text per
+    report, made as it is read. Reports of one `body_key` print alike but
+    for `members` and `peak_shifts`: each body, member count and shift rank
+    is dumped once, with a placeholder for `members` and one for
+    `peak_shifts`, and made into a %-format of the members and the cells of
+    the listed shifts, `peak_shifts.tolist(shown)`."""
     formats: dict[tuple, str] = {}
     for r in reports:
         rank = len(r.peak_shifts.shape)
@@ -109,51 +116,26 @@ def _report_texts(reports: list[correlation.CorrelationReport], shown: int | Non
             text = json.dumps(body, indent=2, sort_keys=True)
             head, middle, tail = _pieces(text.replace("%", "%%").replace("\n", "\n    "), 2)
             rows = count if shown is None else min(shown, count)
-            row = _list_format(["%d"] * rank, "\n        ")
+            row = "".join(_list_pieces(["%d"] * rank, "\n        "))
             fmt = formats[layout] = (
                 head
-                + _list_format(["%d"] * len(r.members), "\n      ")
+                + "".join(_list_pieces(["%d"] * len(r.members), "\n      "))
                 + middle
-                + _list_format([row] * rows, "\n      ")
+                + "".join(_list_pieces([row] * rows, "\n      "))
                 + tail
             )
-        yield fmt % (*r.members, *itertools.chain.from_iterable(r.peak_shifts[:shown].tolist()))
-
-
-def _reports_json(obj: dict, shown: int | None) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) byte for byte, with each
-    CorrelationReport item of the dict's list values printed as its
-    to_json_dict(max_shifts=shown): the dict is dumped once with a
-    placeholder for each report, and each report's text, from
-    `_report_texts`, goes in its place. Refuses, with ValueError, a value
-    that prints as the placeholder and a report that is not an item of a
-    list at depth 1."""
-    reports: list[correlation.CorrelationReport] = []
-
-    def hole(value):
-        if not isinstance(value, correlation.CorrelationReport):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        reports.append(value)
-        return _HOLE
-
-    pieces = _pieces(json.dumps(obj, indent=2, sort_keys=True, default=hole), len(reports))
-    if not all(piece.endswith("\n    ") for piece in pieces[:-1]):
-        raise ValueError("a report is not an item of a list at depth 1")
-    texts = [None] * (2 * len(reports) + 1)
-    texts[::2] = pieces
-    texts[1::2] = _report_texts(reports, shown)
-    return "".join(texts)
+        yield fmt % (*r.members, *itertools.chain.from_iterable(r.peak_shifts.tolist(shown)))
 
 
 def _print_json(obj, out: str | None = None):
     """Write json.dumps(obj, indent=2, sort_keys=True) and a newline to
     stdout or to the file `out`."""
-    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+    _write_text([json.dumps(obj, indent=2, sort_keys=True), "\n"], out)
 
 
 def _cmd_gen_legendre(args) -> int:
     _, arr = _legendre_from(args, a=args.a)
-    _write_text(arrays.serialize(arr), args.out)
+    _write_text([arrays.serialize(arr)], args.out)
     return EXIT_OK
 
 
@@ -173,7 +155,7 @@ def _cmd_corr(args) -> int:
     a = _load_array(args.a)
     b = _load_array(args.b)
     fn = correlation._METHODS["fast" if args.fast else "naive"]
-    _write_text(arrays.serialize(fn(a, b)), args.out)
+    _write_text([arrays.serialize(fn(a, b))], args.out)
     return EXIT_OK
 
 
@@ -186,14 +168,21 @@ def _cmd_verify(args) -> int:
         "p": params.p,
         "n": params.n,
         "poly": params.poly.format() if params.poly else None,
-        "theorem1": auto,
-        "theorem2": cross,
+        "theorem1": _HOLE,
+        "theorem2": _HOLE,
         "m_zero_passed": auto[0].passed,
         "welch": metrics.to_json_dict(),
         "passed": passed,
     }
     shown = None if args.full else VERIFY_SHIFTS_SHOWN
-    _write_text(_reports_json(report, shown) + "\n", args.out)
+    # each bound report list goes in place of its placeholder, written as
+    # its reports are made
+    head, middle, tail = _pieces(json.dumps(report, indent=2, sort_keys=True), 2)
+    _write_text(itertools.chain(
+        [head], _list_pieces(_report_texts(auto, shown), "\n  "),
+        [middle], _list_pieces(_report_texts(cross, shown), "\n  "),
+        [tail, "\n"],
+    ), args.out)
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
@@ -215,7 +204,7 @@ def _cmd_welch(args) -> int:
 
 def _cmd_flatten(args) -> int:
     arr = _load_array(args.input)
-    _write_text(arrays.serialize(watermark.flatten(arr)), args.out)
+    _write_text([arrays.serialize(watermark.flatten(arr))], args.out)
     return EXIT_OK
 
 

@@ -284,31 +284,25 @@ class PeakShifts(Sequence):
     when the mask holds at index[i], or at i with no index. The index must
     map each row s of q entries onto row s, one to one, so that row s lists
     as many shifts as the mask holds in it. Nothing is listed until read:
-    the length is the mask's count, the first k shifts come from its first
-    rows that hold k, and `flat`, every shift's int64 flat index, is made on
-    first use. A slice is listed at once. Compares equal to another
-    PeakShifts of the same shifts, or to the tuple of their tuples.
+    the length is the mask's count, and `tolist(k)` lists the first k shifts
+    from the first rows that hold k. A slice is a tuple of shift tuples.
+    Compares equal to another PeakShifts of the same shifts, or to the tuple
+    of their tuples.
     """
 
-    __slots__ = ("shape", "_flat", "_mask", "_index", "_ends")
+    __slots__ = ("shape", "_mask", "_index", "_ends")
 
-    def __init__(self, mask: np.ndarray, shape: tuple[int, ...], index: np.ndarray | None = None):
+    def __init__(self, mask: np.ndarray, shape: tuple[int, ...], index: np.ndarray | None = None,
+                 ends: list[int] | None = None):
         self.shape = tuple(shape)
-        self._flat, self._mask, self._index = None, mask, index
-        self._ends = np.cumsum(mask.sum(axis=1)).tolist()  # _ends[s]: shifts in rows 0 .. s
-
-    @classmethod
-    def _made(cls, shape, flat=None, mask=None, index=None, ends=None) -> "PeakShifts":
-        # from its parts, with nothing summed again: listed shifts have no mask
-        shifts = cls.__new__(cls)
-        shifts.shape, shifts._flat = shape, flat
-        shifts._mask, shifts._index, shifts._ends = mask, index, ends
-        return shifts
+        self._mask, self._index = mask, index
+        # ends[s]: shifts in rows 0 .. s, the same through any row-keeping index
+        self._ends = np.cumsum(mask.sum(axis=1)).tolist() if ends is None else ends
 
     def through(self, index: np.ndarray) -> "PeakShifts":
         """The shifts of this one's mask read through the row-keeping
         `index` in place of its own, with its count and row counts."""
-        return PeakShifts._made(self.shape, mask=self._mask, index=index, ends=self._ends)
+        return PeakShifts(self._mask, self.shape, index, self._ends)
 
     def _first(self, k: int) -> np.ndarray:
         # the first k shifts lie in rows 0 .. r, r the first row with k in rows 0 .. r
@@ -319,20 +313,15 @@ class PeakShifts(Sequence):
 
     @property
     def flat(self) -> np.ndarray:
-        """Every shift's flat (C-order) table index, int64, listed once."""
-        if self._flat is None:
-            self._flat = self._first(len(self))
-        return self._flat
+        """Every shift's flat (C-order) table index, int64."""
+        return self._first(len(self))
 
     def __len__(self) -> int:
-        return len(self._flat) if self._mask is None else self._ends[-1]
+        return self._ends[-1]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            start, stop, step = i.indices(len(self))
-            if self._flat is None and (start, step) == (0, 1):
-                return PeakShifts._made(self.shape, flat=self._first(stop))
-            return PeakShifts._made(self.shape, flat=self.flat[i])
+            return tuple(self)[i]
         return tuple(int(c) for c in np.unravel_index(self.flat[i], self.shape))
 
     def __iter__(self):
@@ -348,11 +337,13 @@ class PeakShifts(Sequence):
     def __repr__(self) -> str:
         return f"PeakShifts({len(self)} shifts of {self.shape})"
 
-    def tolist(self) -> list[list[int]]:
-        """Every shift as a list of ints, in order: the digits of each flat
-        index in the mixed radix of the table's shape."""
+    def tolist(self, k: int | None = None) -> list[list[int]]:
+        """The first k shifts, or every shift when k is None, each as a list
+        of ints, in order: the digits of each flat index in the mixed radix
+        of the table's shape."""
         radix, dims = _radix(self.shape)
-        return (self.flat[:, None] // radix % dims).tolist()
+        flat = self._first(len(self) if k is None else k)
+        return (flat[:, None] // radix % dims).tolist()
 
 
 @lru_cache(maxsize=None)
@@ -399,7 +390,7 @@ class CorrelationReport:
             "peak_value": self.peak_value,
             "off_peak_max_abs": self.off_peak_max_abs,
             "peak_shift_count": len(self.peak_shifts),
-            "peak_shifts": self.peak_shifts[:max_shifts].tolist(),
+            "peak_shifts": self.peak_shifts.tolist(max_shifts),
             "value_histogram": {str(k): v for k, v in sorted(self.value_histogram.items())},
             "passed": self.passed,
             "values_match_derivation": self.values_match_derivation,

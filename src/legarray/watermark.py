@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import TernaryArray, _integer
+from .arrays import IntArray, TernaryArray, _integer
 from .correlation import member_peak
 from .family import ArrayFamily, FamilyMember
 from .images import GrayImage
@@ -108,21 +108,23 @@ def _unflatten_values(values: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     return values.reshape(tuple(dims[ax] for ax in order)).transpose(np.argsort(order))
 
 
-def flatten(arr: TernaryArray) -> TernaryArray:
-    """Fold an even-rank array to rank 2; rank 2 passes through unchanged."""
+def flatten(arr: TernaryArray | IntArray) -> TernaryArray | IntArray:
+    """Fold an even-rank array to rank 2, of the same entry kind; rank 2
+    passes through unchanged."""
     if arr.rank % 2 != 0:
         raise ValueError(f"flatten requires even rank, got {arr.rank}")
-    return TernaryArray(_flatten_values(arr.values))
+    return type(arr)(_flatten_values(arr.values))
 
 
-def unflatten(arr: TernaryArray, dims) -> TernaryArray:
-    """Exact inverse of flatten: unflatten(flatten(s), s.dims) == s."""
+def unflatten(arr: TernaryArray | IntArray, dims) -> TernaryArray | IntArray:
+    """Exact inverse of flatten, of the same entry kind:
+    unflatten(flatten(s), s.dims) == s."""
     dims = tuple(int(d) for d in dims)
     if len(dims) % 2 != 0:
         raise ValueError(f"unflatten requires even target rank, got {len(dims)}")
     if arr.size != math.prod(dims):
         raise ValueError(f"entry count {arr.size} inconsistent with dims {dims}")
-    return TernaryArray(_unflatten_values(arr.values, dims))
+    return type(arr)(_unflatten_values(arr.values, dims))
 
 
 def tile_dims(member_dims: tuple[int, ...]) -> tuple[int, int]:

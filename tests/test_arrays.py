@@ -1,8 +1,12 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legarray import arrays
 from legarray.arrays import (
     IntArray,
     TernaryArray,
@@ -351,16 +355,38 @@ class TestNdaFormat:
     def test_digit_boundary(self):
         # 18 digits are read in the vectorised pass; 19 go through int()
         for entry in ["999999999999999999", "-999999999999999999"]:
-            text = f"NDA1\n1\n2\nint\n0 {entry}\n"
-            assert _read_canonical(text) is not None
-            assert deserialize(text).values.tolist() == [0, int(entry)]
+            assert _read_canonical(f"0 {entry}\n", 2) is not None
+            assert deserialize(f"NDA1\n1\n2\nint\n0 {entry}\n").values.tolist() == [0, int(entry)]
         for entry in [str(INT64_MAX), str(INT64_MIN), "1000000000000000000"]:
-            text = f"NDA1\n1\n2\nint\n0 {entry}\n"
-            assert _read_canonical(text) is None
-            assert deserialize(text).values.tolist() == [0, int(entry)]
+            assert _read_canonical(f"0 {entry}\n", 2) is None
+            assert deserialize(f"NDA1\n1\n2\nint\n0 {entry}\n").values.tolist() == [0, int(entry)]
         # so entries past int64 get int()'s range error
         for entry in ["99999999999999999999", "9223372036854775808", "-9223372036854775809"]:
-            assert _read_canonical(f"NDA1\n1\n2\nint\n0 {entry}\n") is None
+            assert _read_canonical(f"0 {entry}\n", 2) is None
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("XXX1\n1\n2\nint\n1 0\n", "bad magic"),
+            # fewer than three header fields, checked before the rank is read
+            ("NDA1\n0\nint\n", "truncated NDA header"),
+            ("NDA1\nx\n", "truncated NDA header"),
+            ("NDA1\nx\n2\nint\n1 2\n", "bad rank field 'x'"),
+            ("NDA1\n0\n2\nint\n1 2\n", "rank must be >= 1, got 0"),
+            ("NDA1\n3\n2 2\nint\n", "truncated NDA header"),
+            ("NDA1\n99999999999999999999\n1\nint\n1\n", "truncated NDA header"),
+            ("NDA1\n2\n2 x\nint\n1 2 3 4\n", "bad extent field"),
+            ("NDA1\n2\n2 0\nint\n", "extents must be positive, got \\(2, 0\\)"),
+            ("NDA1\n1\n2\nfloat\n1 2\n", "unknown entry kind 'float'"),
+            ("NDA1\n1\n2\nint\n1\n", "expected 2 entries, got 1"),
+            ("NDA1\n1\n2\nint\n", "expected 2 entries, got 0"),
+            ("NDA1\n1\n2\nint\n1 x\n", "non-integer entry"),
+            ("NDA1\n1\n2\nternary\n1 2\n", "ternary entries must be in"),
+        ],
+    )
+    def test_refusal_messages(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            deserialize(text)
 
     def test_serialization_is_deterministic(self):
         rng = np.random.default_rng(29)
@@ -369,10 +395,8 @@ class TestNdaFormat:
 
 
 def _same_read(a, b):
-    (dims_a, kind_a, flat_a), (dims_b, kind_b, flat_b) = a, b
-    assert (dims_a, kind_a) == (dims_b, kind_b)
-    assert flat_a.dtype == flat_b.dtype == np.int64
-    assert flat_a.tolist() == flat_b.tolist()
+    assert a.dtype == b.dtype == np.int64
+    assert a.tolist() == b.tolist()
 
 
 def _token_rewrites(token: str) -> list[str]:
@@ -390,33 +414,71 @@ def _token_rewrites(token: str) -> list[str]:
     return rewrites
 
 
-def _layout_rewrites(text: str) -> list[str]:
-    """The same tokens in layouts other than the one serialize writes."""
-    magic, rank, extents, kind, body = text.split("\n", 4)
+def _body_rewrites(body: str) -> list[str]:
+    """The same tokens in body layouts other than the one serialize writes."""
     at = next(i for i, c in enumerate(body) if c in " \n")
     return [
-        text[: len(text) - len(body) + at] + body[at] + body[at:],  # doubled separator
-        text[: len(text) - len(body) + at] + "\t" + body[at + 1 :],  # tab
-        text.replace("\n", "\r\n"),  # CRLF
-        text[:-1],  # no final newline
-        f"{magic}\n{rank} {extents} {kind}\n{body}",  # header on one line
-        " " + text,
+        body[:at] + body[at] + body[at:],  # doubled separator
+        body[:at] + "\t" + body[at + 1 :],  # tab
+        body.replace("\n", "\r\n"),  # CRLF
+        body[:-1],  # no final newline
     ]
 
 
+def _header_rewrites(text: str, spacing: str) -> list[str]:
+    """The same header in layouts other than the one serialize writes, the
+    body as it is: `spacing` between the fields, signs and leading zeros,
+    other digits, spaces around the magic."""
+    magic, rank, extents, kind, body = text.split("\n", 4)
+    fields = [rank, *extents.split(" "), kind]
+    return [
+        magic + "\n" + spacing.join(fields) + "\n" + body,
+        f"{magic}\n{rank} {extents} {kind}\n{body}",  # header on one line
+        f"{magic}\n{rank}\n{extents}\n{kind}{spacing}\n{body}",
+        f"{magic}\n+0{rank}\n{' '.join('0_' + e for e in extents.split(' '))}\n{kind}\n{body}",
+        f"{magic}\n{chr(0x660 + int(rank))}\n{extents}\n{kind}\n{body}",  # ARABIC-INDIC
+        f" {magic} \n{rank}\n{extents}\n{kind}\n{body}",
+    ]
+
+
+# Texts serialize does not write: (body, entry count, the reader its body
+# is read by) after the header is parsed, or None when the header is refused
+_OTHER_TEXTS = {
+    "NDA1\n1\n2\nint\n1-2 3\n": ("1-2 3\n", 2, "int()"),
+    "NDA1\n1\n2\nint\n- 3\n": ("- 3\n", 2, "int()"),
+    "NDA1\n1\n2\nint\n--1 3\n": ("--1 3\n", 2, "int()"),
+    "NDA1\n1\n2\nint\n1 2 3\n": ("1 2 3\n", 2, "int()"),
+    "NDA1\n1\n3\nint\n1 2\n": ("1 2\n", 3, "int()"),
+    "NDA1\n1\n0\nint\n\n": None,
+    "NDA1\n1\n02\nint\n1 2\n": ("1 2\n", 2, "vectorised"),
+    "NDA1\n01\n2\nint\n1 2\n": ("1 2\n", 2, "vectorised"),
+    "NDA1\n2\n2\nint\n1 2\n": None,
+    "NDA1\n1\n2\nfloat\n1 2\n": None,
+    "NDA1 \n1\n2\nint\n1 2\n": ("1 2\n", 2, "vectorised"),
+    "NDA1\n1\n2\nint\n1 2\n\n": ("1 2\n\n", 2, "int()"),
+    "NDA1\n1\n2\nint\n1 2 3": ("1 2 3", 2, "int()"),
+    "NDA1\n1\n2\nint\n-0 1\n": ("-0 1\n", 2, "int()"),
+    "NDA1\n1\n2\nint\n01 1\n": ("01 1\n", 2, "int()"),
+    "NDA1\n1\n2\nint\n": ("", 2, "int()"),
+}
+
+
 class TestCanonicalRead:
-    """The vectorised pass against the int() path, entry by entry."""
+    """The vectorised body pass against the int() pass, entry by entry. The
+    header is parsed once, whatever its layout; only the body's form picks
+    its reader."""
 
     @given(nda_arrays())
     @settings(max_examples=200, deadline=None)
     def test_canonical_text_reads_as_int_does(self, drawn):
         arr, _ = drawn
         text = serialize(arr)
-        canonical = _read_canonical(text)
+        body = text.split("\n", 4)[4]
+        canonical = _read_canonical(body, arr.size)
         # tokens of 19 digits and more are left to int()
         assert (canonical is None) == any(abs(v) >= 10**18 for v in arr.values.reshape(-1).tolist())
         if canonical is not None:
-            _same_read(canonical, _read_tokens(text))
+            _same_read(canonical, _read_tokens(body, arr.size))
         assert deserialize(text) == arr
 
     @given(nda_arrays(), st.data())
@@ -428,40 +490,41 @@ class TestCanonicalRead:
         tokens = body.split()
         i = data.draw(st.integers(0, len(tokens) - 1))
         spelled = data.draw(st.sampled_from(_token_rewrites(tokens[i])))
-        retokened = "\n".join([*head, " ".join(tokens[:i] + [spelled] + tokens[i + 1 :]), ""])
-        for rewrite in [retokened, *_layout_rewrites(text)]:
-            assert _read_canonical(rewrite) is None, repr(rewrite[:80])
-            _same_read(_read_tokens(rewrite), _read_tokens(text))
-            assert deserialize(rewrite) == arr
+        retokened = " ".join(tokens[:i] + [spelled] + tokens[i + 1 :]) + "\n"
+        # a body rewrite is read by int(), whatever the header
+        for rewrite in [retokened, *_body_rewrites(body)]:
+            assert _read_canonical(rewrite, arr.size) is None, repr(rewrite[:80])
+            _same_read(_read_tokens(rewrite, arr.size), _read_tokens(body, arr.size))
+            assert deserialize("\n".join([*head, rewrite])) == arr
+        # a header rewrite leaves a canonical body to the vectorised pass
+        spacing = data.draw(st.sampled_from([" ", "\t", "\r\n", "  \n ", "\x0b", "\u2003"]))
+        canonical = _read_canonical(body, arr.size) is not None
+        for rewrite in _header_rewrites(text, spacing):
+            with mock.patch.object(arrays, "_read_tokens", wraps=_read_tokens) as by_int:
+                assert deserialize(rewrite) == arr, repr(rewrite[:80])
+            assert by_int.called != canonical
 
     def test_written_arrays_read_canonically(self):
         for arr in _written_arrays():
-            text = serialize(arr)
-            _same_read(_read_canonical(text), _read_tokens(text))
+            body = serialize(arr).split("\n", 4)[4]
+            _same_read(_read_canonical(body, arr.size), _read_tokens(body, arr.size))
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "NDA1\n1\n2\nint\n1-2 3\n",
-            "NDA1\n1\n2\nint\n- 3\n",
-            "NDA1\n1\n2\nint\n--1 3\n",
-            "NDA1\n1\n2\nint\n1 2 3\n",
-            "NDA1\n1\n3\nint\n1 2\n",
-            "NDA1\n1\n0\nint\n\n",
-            "NDA1\n1\n02\nint\n1 2\n",
-            "NDA1\n01\n2\nint\n1 2\n",
-            "NDA1\n2\n2\nint\n1 2\n",
-            "NDA1\n1\n2\nfloat\n1 2\n",
-            "NDA1 \n1\n2\nint\n1 2\n",
-            "NDA1\n1\n2\nint\n1 2\n\n",
-            "NDA1\n1\n2\nint\n1 2 3",
-            "NDA1\n1\n2\nint\n-0 1\n",
-            "NDA1\n1\n2\nint\n01 1\n",
-            "NDA1\n1\n2\nint\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", list(_OTHER_TEXTS))
     def test_other_text_is_not_canonical(self, text):
-        assert _read_canonical(text) is None
+        if _OTHER_TEXTS[text] is None:
+            with pytest.raises(ValueError):
+                deserialize(text)
+            return
+        body, count, reader = _OTHER_TEXTS[text]
+        assert text.endswith(body)
+        assert (_read_canonical(body, count) is None) == (reader == "int()")
+        try:
+            flat = _read_tokens(body, count)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                deserialize(text)
+        else:
+            assert deserialize(text).values.reshape(-1).tolist() == flat.tolist()
 
 
 class TestRender:

@@ -1,14 +1,18 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from legarray import arrays, correlation, family, images, watermark
-from legarray.cli import _print_json, _reports_json, build_parser, main
+from legarray.fields import Poly
+from legarray.cli import _list_pieces, _print_json, _report_texts, build_parser, main
 
 from cli_usage_text import CLI_USAGE
 from reference_data import FLATTENED_S1, SEQ_P17, THETA_S1
@@ -296,6 +300,31 @@ class TestVerify:
         digest = VERIFY_STDOUT_SHA256[("--p", "13", "--n", "2")]
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("to", ["file", "stdout"])
+    def test_full_report_is_written_as_it_is_made(self, tmp_path, to):
+        # the report goes out piece by piece: at no point does the process
+        # hold as many bytes as it writes
+        target = tmp_path / "full.json"
+        out = target if to == "file" else "-"
+
+        class Counted(io.TextIOBase):
+            written = 0
+
+            def write(self, text):
+                Counted.written += len(text)
+                return len(text)
+
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(Counted()):
+                code = main(["verify", "--p", "7", "--n", "2", "--full", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        written = target.stat().st_size if to == "file" else Counted.written
+        assert written > 10**6 and peak < written
+
     def test_out_flag_writes_report_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "verify", "--p", "3", "--n", "2", "--out", str(target))
@@ -335,11 +364,12 @@ def synthetic_report(rank=2, count=9, members=(0, 1), **fields):
     )
 
 
-def assert_renders_as_json_dumps(reports, shown, **top):
-    # the report list at depth 1, with the dict's other values around it
-    obj = {"reports": list(reports), **top}
-    expected = {**obj, "reports": [r.to_json_dict(max_shifts=shown) for r in reports]}
-    assert _reports_json(obj, shown) == json.dumps(expected, indent=2, sort_keys=True)
+def assert_renders_as_json_dumps(reports, shown):
+    # the report list as the value of a key at depth 1, where `verify`
+    # prints its two lists
+    expected = {"reports": [r.to_json_dict(max_shifts=shown) for r in reports]}
+    text = "".join(_list_pieces(_report_texts(reports, shown), "\n  "))
+    assert '{\n  "reports": ' + text + "\n}" == json.dumps(expected, indent=2, sort_keys=True)
 
 
 class TestJsonWriter:
@@ -362,7 +392,7 @@ class TestJsonWriter:
                 for _ in range(int(rng.integers(0, 12)))
             ]
             shown = [None, 0, 3, 8][int(rng.integers(4))]
-            assert_renders_as_json_dumps(reports, shown, p=3, welch={"approx": 0.5})
+            assert_renders_as_json_dumps(reports, shown)
 
     @pytest.mark.parametrize("rank", [2, 4, 6])
     @pytest.mark.parametrize("shown", [0, 1, 8, None])
@@ -417,25 +447,19 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("mode", ['x\0y', "\0\0", "%s %d %%", 'q"\\\n\u00e9'])
     def test_strings_print_as_json_dumps_prints_them(self, mode):
-        assert_renders_as_json_dumps([synthetic_report(mode=mode), synthetic_report()], 8,
-                                     poly=mode)
+        assert_renders_as_json_dumps([synthetic_report(mode=mode), synthetic_report()], 8)
 
     @pytest.mark.parametrize("where", ["report", "dict"])
-    def test_refuses_a_value_printed_as_the_placeholder(self, where):
-        # "\0" prints as the placeholder: the piece count shows it
+    def test_refuses_a_value_printed_as_the_placeholder(self, where, capsys, monkeypatch):
+        # "\0" prints as the placeholder: the piece count shows it, in a
+        # report's body or in the dict `verify` dumps around the reports
         if where == "report":
-            obj = {"reports": [synthetic_report(mode="\0")]}
+            with pytest.raises(ValueError, match="placeholder"):
+                list(_report_texts([synthetic_report(mode="\0")], 8))
         else:
-            obj = {"reports": [synthetic_report()], "poly": "\0"}
-        with pytest.raises(ValueError, match="placeholder"):
-            _reports_json(obj, 8)
-
-    def test_refuses_a_report_that_is_not_an_item_of_a_top_level_list(self):
-        # its body is laid out for that depth only
-        report = synthetic_report()
-        for obj in ({"r": report}, {"r": [report], "s": [[report]]}, {"r": {"s": [report]}}):
-            with pytest.raises(ValueError, match="depth 1"):
-                _reports_json(obj, 8)
+            monkeypatch.setattr(Poly, "format", lambda self: "\0")
+            code, out, err = run(capsys, "verify", "--p", "3", "--n", "2", "--poly", "2,2,1")
+            assert (code, out) == (1, "") and "placeholder" in err
 
     def test_extract_report_with_infinite_snr(self, capsys):
         result = watermark.ExtractionResult(
@@ -449,24 +473,6 @@ class TestJsonWriter:
         out = capsys.readouterr().out
         assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert '"snr": Infinity' in out
-
-    def test_float_subclass_prints_as_float(self):
-        # json.dumps takes np.float64 for a float, with no call to the
-        # writer's hook, which takes only reports
-        assert_renders_as_json_dumps([synthetic_report()], 8, snr=np.float64(0.1),
-                                     rows=[[np.float64(2.0), 1]])
-
-    @pytest.mark.parametrize(
-        "value",
-        [np.int64(1), [np.int64(1)], [[1, np.int64(2)]], {"a": np.bool_(True)}, {(1,): 2},
-         object()],
-    )
-    def test_refuses_what_json_dumps_refuses(self, value):
-        # the writer's hook takes reports and nothing else
-        with pytest.raises(TypeError):
-            json.dumps(value, indent=2, sort_keys=True)
-        with pytest.raises(TypeError):
-            _reports_json({"value": value, "reports": [synthetic_report()]}, 8)
 
 
 class TestWelch:
@@ -486,6 +492,22 @@ class TestFlattenRender:
         code, _, _ = run(capsys, "flatten", str(src), "--out", str(dst))
         assert code == 0
         assert np.array_equal(arrays.deserialize(dst.read_text()).values, FLATTENED_S1)
+
+    def test_flatten_keeps_the_kind_of_a_correlation_table(self, capsys, tmp_path, family_3_2):
+        # a `corr` table is an int array with entries past {-1, 0, 1}: it
+        # flattens to kind int, and unflatten gives the table back
+        for m in (1, 2):
+            (tmp_path / f"s{m}.nda").write_text(arrays.serialize(family_3_2[m].arr))
+        theta_path, flat_path = tmp_path / "theta.nda", tmp_path / "flat.nda"
+        assert run(capsys, "corr", str(tmp_path / "s1.nda"), str(tmp_path / "s2.nda"),
+                   "--out", str(theta_path))[0] == 0
+        code, _, err = run(capsys, "flatten", str(theta_path), "--out", str(flat_path))
+        assert (code, err) == (0, "")
+        theta = arrays.deserialize(theta_path.read_text())
+        text = flat_path.read_text()
+        assert text.split("\n")[1:4] == ["2", "9 9", "int"]
+        assert int(np.abs(theta.values).max()) == 10
+        assert watermark.unflatten(arrays.deserialize(text), theta.dims) == theta
 
     def test_render_flattens_and_maps(self, capsys, tmp_path, family_3_2):
         src = tmp_path / "s1.nda"
