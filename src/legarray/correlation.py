@@ -284,10 +284,10 @@ class PeakShifts(Sequence):
     when the mask holds at index[i], or at i with no index. The index must
     map each row s of q entries onto row s, one to one, so that row s lists
     as many shifts as the mask holds in it. Nothing is listed until read:
-    the length is the mask's count, and `tolist(k)` lists the first k shifts
-    from the first rows that hold k. A slice is a tuple of shift tuples.
-    Compares equal to another PeakShifts of the same shifts, or to the tuple
-    of their tuples.
+    the length is the mask's count, and `tolist(k)`, the one listing, lists
+    the first k shifts from the first rows that hold k. Iteration, an index
+    and a slice read every shift through it. Compares equal to a PeakShifts
+    of the same shape and shifts, or to the tuple of its shift tuples.
     """
 
     __slots__ = ("shape", "_mask", "_index", "_ends")
@@ -311,25 +311,18 @@ class PeakShifts(Sequence):
         mask = self._mask.reshape(-1)
         return (mask[:end] if self._index is None else mask[self._index[:end]]).nonzero()[0][:k]
 
-    @property
-    def flat(self) -> np.ndarray:
-        """Every shift's flat (C-order) table index, int64."""
-        return self._first(len(self))
-
     def __len__(self) -> int:
         return self._ends[-1]
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        return tuple(int(c) for c in np.unravel_index(self.flat[i], self.shape))
+        return tuple(self)[i]
 
     def __iter__(self):
         return map(tuple, self.tolist())
 
     def __eq__(self, other):
         if isinstance(other, PeakShifts):
-            return self.shape == other.shape and np.array_equal(self.flat, other.flat)
+            return self.shape == other.shape and self.tolist() == other.tolist()
         if isinstance(other, tuple):
             return tuple(self) == other
         return NotImplemented
@@ -366,7 +359,8 @@ class CorrelationReport:
     `peak_value` is always the correlation at the all-zero shift.
     `peak_shifts` holds every bounded shift where |theta| equals
     `off_peak_max_abs`, in C order, as a `PeakShifts`: the table's attaining
-    mask, read as a sequence of shift tuples and listed only as far as read.
+    mask, listed only as far as read. The printed body is `body_key` under
+    the names `_BODY_NAMES`, with `members` and `peak_shifts` added.
     """
 
     mode: str  # "auto" | "cross"
@@ -379,26 +373,22 @@ class CorrelationReport:
     passed: bool
     values_match_derivation: bool
 
+    _BODY_NAMES = ("mode", "bound", "peak_value", "off_peak_max_abs", "peak_shift_count",
+                   "value_histogram", "passed", "values_match_derivation")
+
     def to_json_dict(self, max_shifts: int | None = None) -> dict:
-        """The report as JSON-ready values. `peak_shift_count` counts every
-        attaining shift; `peak_shifts` lists the first `max_shifts` of them
-        in C order, or all of them when `max_shifts` is None."""
-        return {
-            "mode": self.mode,
-            "members": list(self.members),
-            "bound": self.bound,
-            "peak_value": self.peak_value,
-            "off_peak_max_abs": self.off_peak_max_abs,
-            "peak_shift_count": len(self.peak_shifts),
-            "peak_shifts": self.peak_shifts.tolist(max_shifts),
-            "value_histogram": {str(k): v for k, v in sorted(self.value_histogram.items())},
-            "passed": self.passed,
-            "values_match_derivation": self.values_match_derivation,
-        }
+        """The report as JSON-ready values: `body_key` by name, its histogram
+        keyed by strings, `members`, and as `peak_shifts` the first
+        `max_shifts` attaining shifts in C order (all when it is None)."""
+        body = dict(zip(self._BODY_NAMES, self.body_key(), strict=True))
+        body["value_histogram"] = {str(k): v for k, v in body["value_histogram"]}
+        body["members"] = list(self.members)
+        body["peak_shifts"] = self.peak_shifts.tolist(max_shifts)
+        return body
 
     def body_key(self) -> tuple:
-        """Every value `to_json_dict` prints but `members` and `peak_shifts`,
-        hashable: reports with equal keys print alike but for those two."""
+        """The printed body but `members` and `peak_shifts`, hashable, as
+        values named by `_BODY_NAMES`: equal keys print alike but for those."""
         return (self.mode, self.bound, self.peak_value, self.off_peak_max_abs,
                 len(self.peak_shifts), tuple(sorted(self.value_histogram.items())),
                 self.passed, self.values_match_derivation)

@@ -312,7 +312,7 @@ class TestNdaFormat:
         seen = set()
 
         @given(nda_arrays())
-        @settings(max_examples=100, deadline=None, database=None)
+        @settings(max_examples=100, deadline=None, database=None, derandomize=True)
         def collect(drawn):
             arr, narrow = drawn
             seen.add((arr.kind, narrow, arr.rank == 8))

@@ -284,19 +284,29 @@ class TestVerify:
 
     def test_default_report_lists_no_pair_whole(self, capsys, monkeypatch):
         # each pair's first 8 shifts come from the first rows of its mask:
-        # no gather handed to np.flatnonzero spans a whole q x q table
+        # no gather the shifts are listed from spans a whole q x q mask. Each
+        # d-report's mask records the size of every gather made from it, and
+        # the pairs read it through `through`.
         q = 13**2
         sizes = []
-        real = np.flatnonzero
 
-        def recorded(a):
-            sizes.append(np.size(a))
-            return real(a)
+        class Recorded(np.ndarray):
+            def __getitem__(self, key):
+                got = super().__getitem__(key)
+                sizes.append(np.size(got))
+                return got
 
-        monkeypatch.setattr(np, "flatnonzero", recorded)
+        real = correlation._bound_report
+
+        def recorded(*args):
+            report = real(*args)
+            report.peak_shifts._mask = report.peak_shifts._mask.view(Recorded)
+            return report
+
+        monkeypatch.setattr(correlation, "_bound_report", recorded)
         code, out, _ = run(capsys, "verify", "--p", "13", "--n", "2")
         assert code == 0
-        assert sizes and max(sizes) <= q * q // 10
+        assert len(sizes) >= 13 + 78 and max(sizes) <= q * q // 10
         digest = VERIFY_STDOUT_SHA256[("--p", "13", "--n", "2")]
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

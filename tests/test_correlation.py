@@ -308,7 +308,8 @@ class TestBoundReports:
         cross = verify_cross_correlation(family_3_2[1], family_3_2[2])
         shifts = cross.peak_shifts
         expected = [tuple(s) for s in np.argwhere(np.abs(THETA_S1_S2) == 10)]
-        assert isinstance(shifts, PeakShifts) and shifts.flat.dtype == np.int64
+        assert isinstance(shifts, PeakShifts) and shifts.tolist() == [list(s) for s in expected]
+        assert all(type(c) is int for row in shifts.tolist() for c in row)
         assert len(shifts) == 24 and list(shifts) == expected
         assert shifts[0] == expected[0] and shifts[-1] == expected[-1]
         assert all(type(c) is int for c in shifts[5])
