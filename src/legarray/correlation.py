@@ -34,7 +34,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -276,8 +276,8 @@ def full_correlation_fast(a, b) -> IntArray:
 _METHODS = {"naive": full_correlation, "fast": full_correlation_fast}
 
 
-class PeakShifts(Sequence):
-    """Shifts of a correlation table, in C order, each read as a tuple of ints.
+class PeakShifts:
+    """Shifts of a correlation table, in C order, listed as lists of ints.
 
     Made from the q x q bool mask of the table's attaining entries, read
     through an optional index: the shift at flat (C-order) index i is listed
@@ -285,9 +285,8 @@ class PeakShifts(Sequence):
     map each row s of q entries onto row s, one to one, so that row s lists
     as many shifts as the mask holds in it. Nothing is listed until read:
     the length is the mask's count, and `tolist(k)`, the one listing, lists
-    the first k shifts from the first rows that hold k. Iteration, an index
-    and a slice read every shift through it. Compares equal to a PeakShifts
-    of the same shape and shifts, or to the tuple of its shift tuples.
+    the first k shifts from the first rows that hold k. Compares equal to a
+    PeakShifts of the same shape and shifts.
     """
 
     __slots__ = ("shape", "_mask", "_index", "_ends")
@@ -304,28 +303,13 @@ class PeakShifts(Sequence):
         `index` in place of its own, with its count and row counts."""
         return PeakShifts(self._mask, self.shape, index, self._ends)
 
-    def _first(self, k: int) -> np.ndarray:
-        # the first k shifts lie in rows 0 .. r, r the first row with k in rows 0 .. r
-        width = self._mask.shape[1]
-        end = (bisect.bisect_left(self._ends, k) + 1) * width
-        mask = self._mask.reshape(-1)
-        return (mask[:end] if self._index is None else mask[self._index[:end]]).nonzero()[0][:k]
-
     def __len__(self) -> int:
         return self._ends[-1]
 
-    def __getitem__(self, i):
-        return tuple(self)[i]
-
-    def __iter__(self):
-        return map(tuple, self.tolist())
-
     def __eq__(self, other):
-        if isinstance(other, PeakShifts):
-            return self.shape == other.shape and self.tolist() == other.tolist()
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
+        if not isinstance(other, PeakShifts):
+            return NotImplemented
+        return self.shape == other.shape and self.tolist() == other.tolist()
 
     def __repr__(self) -> str:
         return f"PeakShifts({len(self)} shifts of {self.shape})"
@@ -335,7 +319,11 @@ class PeakShifts(Sequence):
         of ints, in order: the digits of each flat index in the mixed radix
         of the table's shape."""
         radix, dims = _radix(self.shape)
-        flat = self._first(len(self) if k is None else k)
+        k = len(self) if k is None else k
+        # the first k shifts lie in rows 0 .. r, r the first row with k in rows 0 .. r
+        end = (bisect.bisect_left(self._ends, k) + 1) * self._mask.shape[1]
+        mask = self._mask.reshape(-1)
+        flat = (mask[:end] if self._index is None else mask[self._index[:end]]).nonzero()[0][:k]
         return (flat[:, None] // radix % dims).tolist()
 
 
@@ -359,7 +347,8 @@ class CorrelationReport:
     `peak_value` is always the correlation at the all-zero shift.
     `peak_shifts` holds every bounded shift where |theta| equals
     `off_peak_max_abs`, in C order, as a `PeakShifts`: the table's attaining
-    mask, listed only as far as read. The printed body is `body_key` under
+    mask, whose `len` is the shift count and whose `tolist(k)` reads only
+    the rows that hold the first k. The printed body is `body_key` under
     the names `_BODY_NAMES`, with `members` and `peak_shifts` added.
     """
 

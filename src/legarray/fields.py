@@ -29,18 +29,7 @@ _POWER_TABLE_LIMIT = 1 << 22
 
 def is_prime(u: int) -> bool:
     """Deterministic trial-division primality test (fine for u < 2**32)."""
-    if u < 2:
-        return False
-    if u < 4:
-        return True
-    if u % 2 == 0:
-        return False
-    d = 3
-    while d * d <= u:
-        if u % d == 0:
-            return False
-        d += 2
-    return True
+    return u >= 2 and factorize(u) == [u]
 
 
 def factorize(u: int) -> list[int]:

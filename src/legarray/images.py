@@ -94,10 +94,10 @@ def read_pgm(data: bytes) -> GrayImage:
         fields = data[offset:].split()
         if len(fields) != n:
             raise ValueError(f"expected {n} raster values, got {len(fields)}")
-        values = np.array([int(f) for f in fields], dtype=np.int64)
-        if values.min() < 0 or values.max() > 255:
+        values = [int(f) for f in fields]
+        if min(values) < 0 or max(values) > 255:
             raise ValueError("P2 sample out of range")
-        pixels = values.astype(np.uint8).reshape(height, width)
+        pixels = np.array(values, dtype=np.uint8).reshape(height, width)
     return GrayImage(pixels)
 
 

@@ -576,6 +576,12 @@ class TestWatermarkCommands:
         assert (code, out) == (1, "")
         assert "snr threshold must be a number" in err
 
+    def test_p2_sample_outside_int64_exits_1(self, capsys, tmp_path):
+        carrier = tmp_path / "big.pgm"
+        carrier.write_bytes(b"P2\n2 2\n255\n1 2 3 99999999999999999999999\n")
+        code, out, err = run(capsys, "extract", "--image", str(carrier), "--p", "3", "--n", "1")
+        assert (code, out, err) == (1, "", "legarray: error: P2 sample out of range\n")
+
     def test_verify_and_extract_build_no_member(self, capsys, tmp_path, monkeypatch):
         carrier = tmp_path / "in.pgm"
         noise = np.random.default_rng(5).integers(0, 256, size=(130, 130), dtype=np.uint8)

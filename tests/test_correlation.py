@@ -1,4 +1,5 @@
 import collections
+import collections.abc
 import contextlib
 import dataclasses
 import functools
@@ -251,18 +252,16 @@ class TestBoundReports:
         assert r.off_peak_max_abs == 10
         assert set(r.value_histogram) == {-8, 1, 10}
         assert r.values_match_derivation
-        assert all(
-            abs(THETA_S1_S2[s]) == 10 for s in r.peak_shifts
-        )
+        assert all(abs(THETA_S1_S2[tuple(s)]) == 10 for s in r.peak_shifts.tolist())
 
     @pytest.mark.parametrize("kernel", ["naive", "fast", "sheared"])
     def test_reference_peak_shifts_exact(self, family_3_2, kernel):
         # every shift attaining max |theta|, in C order; auto excludes the origin
         auto_abs = np.abs(THETA_S1.astype(np.int64))
         auto_abs[0, 0, 0, 0] = -1
-        expected_auto = [tuple(s) for s in np.argwhere(auto_abs == auto_abs.max())]
+        expected_auto = np.argwhere(auto_abs == auto_abs.max()).tolist()
         cross_abs = np.abs(THETA_S1_S2.astype(np.int64))
-        expected_cross = [tuple(s) for s in np.argwhere(cross_abs == cross_abs.max())]
+        expected_cross = np.argwhere(cross_abs == cross_abs.max()).tolist()
         if kernel == "naive":
             auto = verify_autocorrelation(family_3_2[1])
             cross = verify_cross_correlation(family_3_2[1], family_3_2[2])
@@ -276,8 +275,8 @@ class TestBoundReports:
         else:
             autos, crosses = verify_family(family_3_2)
             auto, cross = autos[1], crosses[2]  # pairs (0, 1), (0, 2), (1, 2)
-        assert auto.peak_shifts == tuple(expected_auto)
-        assert cross.peak_shifts == tuple(expected_cross)
+        assert auto.peak_shifts.tolist() == expected_auto
+        assert cross.peak_shifts.tolist() == expected_cross
         assert (len(expected_auto), len(expected_cross)) == (16, 24)
 
     @pytest.mark.parametrize("p,n", BOUND_GRID)
@@ -305,17 +304,25 @@ class TestBoundReports:
         assert int(full_correlation(s1.arr, s1.arr).values.sum()) == 0
 
     def test_peak_shifts_read_as_tuples(self, family_3_2):
+        # each shift lists as a list of Python ints; only another PeakShifts
+        # compares equal
         cross = verify_cross_correlation(family_3_2[1], family_3_2[2])
         shifts = cross.peak_shifts
-        expected = [tuple(s) for s in np.argwhere(np.abs(THETA_S1_S2) == 10)]
-        assert isinstance(shifts, PeakShifts) and shifts.tolist() == [list(s) for s in expected]
+        expected = np.argwhere(np.abs(THETA_S1_S2) == 10).tolist()
+        assert isinstance(shifts, PeakShifts) and shifts.tolist() == expected
         assert all(type(c) is int for row in shifts.tolist() for c in row)
-        assert len(shifts) == 24 and list(shifts) == expected
-        assert shifts[0] == expected[0] and shifts[-1] == expected[-1]
-        assert all(type(c) is int for c in shifts[5])
-        assert shifts[:8] == tuple(expected[:8]) and len(shifts[:8]) == 8
-        assert shifts != tuple(expected[:8]) and shifts != list(expected)
+        assert len(shifts) == 24
+        assert shifts.tolist(8) == expected[:8] and shifts.tolist(1) == expected[:1]
+        assert shifts != tuple(map(tuple, expected)) and shifts != expected
         assert CorrelationReport(**cross.__dict__) == cross
+
+    def test_peak_shifts_are_not_a_sequence(self, family_3_2):
+        # with no item access, no mixin can list every shift once per item
+        shifts = verify_cross_correlation(family_3_2[1], family_3_2[2]).peak_shifts
+        assert not isinstance(shifts, collections.abc.Sequence)
+        for read in (reversed, iter, lambda s: s[0]):
+            with pytest.raises(TypeError):
+                read(shifts)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_peak_shifts_read_through_a_row_keeping_index(self, seed):
@@ -329,19 +336,18 @@ class TestBoundReports:
         cases = [(plain, np.flatnonzero(mask)),
                  (plain.through(index), np.flatnonzero(mask.reshape(-1)[index]))]
         for shifts, flat in cases:
-            expected = [tuple(int(c) for c in np.unravel_index(i, shape)) for i in flat]
+            expected = [[int(c) for c in np.unravel_index(i, shape)] for i in flat]
             assert len(shifts) == len(expected)
             for k in (0, 1, 5, len(expected), len(expected) + 3):
-                assert shifts[:k] == tuple(expected[:k])
-            assert shifts[1::2] == tuple(expected[1::2]) and shifts[-1] == expected[-1]
-            assert list(shifts) == expected and shifts.tolist() == [list(s) for s in expected]
+                assert shifts.tolist(k) == expected[:k]
+            assert shifts.tolist() == expected
 
     def test_zero_shift_never_attains_in_an_auto_report(self):
         # |theta(0)| equals the off-peak maximum here; only the bounded shifts list
         report = correlation._bound_report(np.array([[3, -3], [1, 3]]), 2, 0)
-        assert report.off_peak_max_abs == 3 and report.peak_shifts == ((0, 1), (1, 1))
+        assert report.off_peak_max_abs == 3 and report.peak_shifts.tolist() == [[0, 1], [1, 1]]
         cross = correlation._bound_report(np.array([[3, -3], [1, 3]]), 2, 0, 1)
-        assert cross.peak_shifts == ((0, 0), (0, 1), (1, 1))
+        assert cross.peak_shifts.tolist() == [[0, 0], [0, 1], [1, 1]]
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float32])
     @pytest.mark.parametrize("low,high", [(-40, 41), (-5, -4), (0, 1)])
@@ -363,7 +369,7 @@ class TestBoundReports:
         cross = verify_cross_correlation(family_3_2[1], family_3_2[2])
         full = cross.to_json_dict()
         assert full["peak_shift_count"] == 24
-        assert full["peak_shifts"] == [list(s) for s in cross.peak_shifts]
+        assert full["peak_shifts"] == np.argwhere(np.abs(THETA_S1_S2) == 10).tolist()
         cut = cross.to_json_dict(max_shifts=8)
         assert cut == {**full, "peak_shifts": full["peak_shifts"][:8]}
         assert cross.to_json_dict(max_shifts=100) == full

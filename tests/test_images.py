@@ -74,6 +74,7 @@ class TestPgm:
             b"P5\n1 1\n255",                # missing separator
             b"P2\n1 1\n255\n300\n",         # P2 sample out of range
             b"P2\n2 1\n255\n1\n",           # P2 truncated samples
+            b"P2\n1 1\n255\n99999999999999999999\n",  # P2 sample past int64
         ],
     )
     def test_malformed_rejected(self, data):
