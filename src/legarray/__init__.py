@@ -25,7 +25,6 @@ from .family import (
     is_perfect,
 )
 from .fields import (
-    ExtField,
     Poly,
     factorize,
     find_primitive_poly,
@@ -58,7 +57,6 @@ __all__ = [
     "ArrayFamily",
     "CorrelationReport",
     "EmbedConfig",
-    "ExtField",
     "ExtractionResult",
     "FamilyMember",
     "FlatAutocorrelationReport",

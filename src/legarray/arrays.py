@@ -40,7 +40,8 @@ def _integer(value, name: str) -> int:
 
 
 class _NdArray:
-    """Shared container behavior; subclasses fix dtype and entry domain."""
+    """Shared container behavior; subclasses fix dtype and entry domain.
+    Mutable through set(), so unhashable, as numpy arrays are."""
 
     kind = ""
     _dtype = None
@@ -119,9 +120,6 @@ class _NdArray:
             and self.dims == other.dims
             and np.array_equal(self.values, other.values)
         )
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.dims, self.values.tobytes()))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dims={self.dims})"

@@ -50,9 +50,9 @@ def _add_field_args(sub, with_a=False):
 
 
 def _legendre_from(args, a=0) -> tuple[legendre.LegendreParams, arrays.TernaryArray]:
-    """Resolved field parameters and the rank-n Legendre array built from them."""
+    """Field parameters and the rank-n Legendre array built from them."""
     poly = Poly.parse(args.poly, args.p) if args.poly else None
-    params = legendre.LegendreParams(p=args.p, n=args.n, a=a, poly=poly).resolve()
+    params = legendre.LegendreParams(p=args.p, n=args.n, a=a, poly=poly)
     return params, legendre.legendre_array(params)
 
 

@@ -77,7 +77,6 @@ def _check_base(arr: TernaryArray, params: LegendreParams):
 
 def build_member(arr: TernaryArray, m: int, params: LegendreParams) -> FamilyMember:
     """Construct member m from the rank-n base array."""
-    params = params.resolve()
     _check_base(arr, params)
     p = params.p
     if not 0 <= m < p:
@@ -87,7 +86,7 @@ def build_member(arr: TernaryArray, m: int, params: LegendreParams) -> FamilyMem
 
 def build_family(arr: TernaryArray, params: LegendreParams) -> ArrayFamily:
     """The family of members m = 0, ..., p-1 of `arr`; none is built here."""
-    return ArrayFamily(base=arr, params=params.resolve())
+    return ArrayFamily(base=arr, params=params)
 
 
 def is_perfect(arr) -> bool:

@@ -4,9 +4,10 @@ Everything here is exact integer arithmetic: deterministic trial division
 for primality and factoring, and one representation of GF(p)[x]/(f), the
 companion matrix X of multiplication by x modulo the monic f. A row vector
 of coefficients times X is the element times x, so powers of X give the
-multiplicative-order test for primitivity, field products, and the powers
-of the generator by doubling. The antilog table proves its own modulus
-primitive from its rows.
+multiplicative-order test for primitivity and the powers of the generator
+by doubling. The antilog table proves its own modulus primitive from its
+rows. An array's field is its modulus alone, which LegendreParams fixes
+when it is made.
 The primitive-polynomial search skips every constant term c_0 whose norm
 (-1)^n * c_0 is not a primitive root mod p; the order test stays the only
 authority on the candidates that remain.
@@ -19,8 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-FieldElement = tuple[int, ...]
 
 # Antilog tables are built and cached up to this field order;
 # power_table() refuses larger fields.
@@ -247,6 +246,7 @@ def antilog_table(modulus: Poly) -> np.ndarray:
 class ExtField:
     """GF(p^n) presented as GF(p)[x]/(modulus) with generator alpha = x.
 
+    Kept only for perfbench's `fields.powers` span; no command calls it.
     Elements are little-endian coefficient tuples of length n. The full
     antilog table (all p**n - 1 powers of alpha) is built lazily and cached
     for fields small enough to enumerate.
@@ -268,32 +268,7 @@ class ExtField:
         self.order = p**n - 1
         self._table: np.ndarray | None = None
 
-    def _coerce(self, a) -> tuple:
-        coeffs = tuple(a.coeffs) if isinstance(a, Poly) else tuple(int(c) % self.p for c in a)
-        if len(coeffs) > self.n and any(c % self.p for c in coeffs[self.n:]):
-            raise ValueError(f"operand degree must be < {self.n}")
-        coeffs = coeffs[: self.n]
-        return coeffs + (0,) * (self.n - len(coeffs))
-
-    def mul(self, a, b) -> FieldElement:
-        """Product of two field elements (coefficient tuples or Polys).
-
-        a times the rows x**i * b, which are b times powers of X.
-        """
-        x = _companion(self.modulus, self.n)
-        a, b = (np.array(self._coerce(v), dtype=x.dtype) for v in (a, b))
-        rows = [b]
-        for _ in range(self.n - 1):
-            rows.append(rows[-1] @ x % self.p)
-        return tuple((a @ np.array(rows) % self.p).tolist())
-
-    def power(self, i: int) -> FieldElement:
-        """Coefficient tuple of alpha**i for 0 <= i < p**n - 1."""
-        if not 0 <= i < self.order:
-            raise ValueError(f"exponent {i} out of range [0, {self.order})")
-        return tuple(self.power_table()[i].tolist())
-
-    def powers(self) -> list[FieldElement]:
+    def powers(self) -> list[tuple[int, ...]]:
         """Antilog table: [alpha**0, alpha**1, ..., alpha**(p**n - 2)].
 
         The rows of power_table() as coefficient tuples; every nonzero

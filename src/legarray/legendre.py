@@ -22,12 +22,15 @@ from .fields import _POWER_TABLE_LIMIT, Poly, _check_monic, _check_odd_prime, an
 class LegendreParams:
     """Construction parameters: size p, dimension n, origin value, polynomial.
 
-    `poly` must be monic primitive of degree n. For n = 1 the array is the
-    quadratic-residue sequence, the same for every primitive root, so there
-    a polynomial is only checked and none is searched for. When omitted it
-    defaults to the deterministic find_primitive_poly(p, n). For n >= 2 a
-    supplied or searched polynomial is proved primitive by the antilog
-    table legendre_array builds on it.
+    Complete when made. For n >= 2 an omitted `poly` is filled in here with
+    the deterministic find_primitive_poly(p, n). For n = 1 the array is the
+    quadratic-residue sequence, the same for every primitive root, so none
+    is searched for and `poly` stays None unless supplied.
+
+    Every check but primitivity runs here, before any search: an odd prime
+    p, n >= 1, a field small enough to tabulate, a in {-1, 0, 1}, n at most
+    MAX_RANK, and a supplied `poly` monic of degree n over GF(p).
+    legendre_array proves primitivity.
     """
 
     p: int
@@ -39,20 +42,19 @@ class LegendreParams:
         _check_odd_prime(self.p)
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
-        # Refuse before any primitive-polynomial search: legendre_array
-        # needs the full antilog table of GF(p^n).
+        # legendre_array needs the full antilog table of GF(p^n)
         if self.n >= 2 and self.p**self.n - 1 > _POWER_TABLE_LIMIT:
             raise ValueError(f"field order {self.p**self.n} too large to tabulate")
         if self.a not in (-1, 0, 1):
             raise ValueError(f"origin value must be in {{-1,0,1}}, got {self.a}")
         if self.poly is not None and self.poly.p != self.p:
             raise ValueError("polynomial characteristic does not match p")
-
-    def resolve(self) -> "LegendreParams":
-        """Fill in the default polynomial so downstream outputs are reproducible."""
-        if self.n == 1 or self.poly is not None:
-            return self
-        return LegendreParams(self.p, self.n, self.a, find_primitive_poly(self.p, self.n))
+        if self.n > MAX_RANK:
+            raise ValueError(f"rank {self.n} exceeds limit {MAX_RANK}")
+        if self.poly is not None:
+            _check_monic(self.poly, self.n)
+        elif self.n >= 2:
+            object.__setattr__(self, "poly", find_primitive_poly(self.p, self.n))
 
 
 def legendre_sequence(p: int, a: int = 0) -> TernaryArray:
@@ -77,14 +79,12 @@ def legendre_array(params: LegendreParams) -> TernaryArray:
     power first: its i-th power has the coefficients of x**(n - 1 - i), and
     p**n - 1 is even. The golden fixtures in the test suite pin it;
     supplying the reciprocal polynomial yourself relabels the cells.
+
+    `params` fixed the polynomial and made every other check; only
+    primitivity is proved here: for n >= 2 by the antilog table, and at
+    n = 1, where a supplied polynomial plays no part, by the order test.
     """
-    # refuse before the primitive-polynomial search and the antilog table
-    if params.n > MAX_RANK:
-        raise ValueError(f"rank {params.n} exceeds limit {MAX_RANK}")
-    params = params.resolve()
     p, n = params.p, params.n
-    if params.poly is not None:
-        _check_monic(params.poly, n)
     if n == 1:
         # no table to prove it: the order test, on a 1 x 1 companion matrix
         if params.poly is not None and not is_primitive(params.poly, 1):

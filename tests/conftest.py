@@ -21,5 +21,5 @@ def family_3_2(params_3_2):
 
 @pytest.fixture(scope="session")
 def family_5_2():
-    params = LegendreParams(p=5, n=2, a=0).resolve()
+    params = LegendreParams(p=5, n=2, a=0)
     return build_family(legendre_array(params), params)

@@ -59,7 +59,7 @@ def family_for(p, n, poly=None):
     if key not in _FAMILIES:
         params = LegendreParams(
             p=p, n=n, a=0, poly=Poly.parse(poly, p) if poly else None
-        ).resolve()
+        )
         _FAMILIES[key] = build_family(legendre_array(params), params)
     return _FAMILIES[key]
 

@@ -70,7 +70,7 @@ def nda_arrays(draw):
 def _written_arrays():
     """The arrays the CLI writes: family members, Legendre arrays, correlation tables."""
     for p, n in [(3, 2), (5, 2), (7, 2), (13, 2), (3, 3), (3, 4)]:
-        params = LegendreParams(p, n).resolve()
+        params = LegendreParams(p, n)
         family = build_family(legendre_array(params), params)
         yield from (member.arr for member in family)
         yield full_correlation_fast(family[1].arr, family[1].arr)
@@ -155,6 +155,12 @@ class TestIndexing:
         assert arr.get((1, 0)) == -1
         with pytest.raises(ValueError):
             arr.set((0, 0), 5)
+
+    def test_arrays_are_unhashable(self):
+        # set() changes the entries a hash would be taken from, as in numpy
+        for arr in (TernaryArray([1, 0, -1]), IntArray([5, -7])):
+            with pytest.raises(TypeError):
+                hash(arr)
 
     def test_raw_out_of_range_rejected(self):
         arr = TernaryArray(np.zeros((2, 2), dtype=np.int8))
@@ -554,7 +560,7 @@ class TestRender:
         from legarray.legendre import LegendreParams, legendre_array
         from legarray.watermark import flatten
 
-        params = LegendreParams(p=7, n=2).resolve()
+        params = LegendreParams(p=7, n=2)
         member = build_member(legendre_array(params), 1, params)
         img = render(flatten(member.arr))
         assert (img.width, img.height) == (49, 49)

@@ -229,8 +229,21 @@ def test_kernel_internals_used_only_in_correlation_module():
 BOUND_GRID = [(3, 1), (5, 1), (11, 1), (3, 2), (3, 3)]
 
 
+CLOSED_FORM_GRID = [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3), (3, 4), (11, 2), (13, 2), (5, 3)]
+
+
+def closed_form_histogram(mode, q):
+    """The paper's value distribution of one member's auto report, or of one
+    pair's cross report, over GF(q), with zero counts dropped."""
+    if mode == "auto":
+        counts = {1: (q - 1) ** 2, 1 - q: 2 * (q - 1)}
+    else:
+        counts = {q + 1: (q - 1) * (q - 3) // 2, 1: 3 * (q - 1), 1 - q: 1 + (q - 1) ** 2 // 2}
+    return {v: count for v, count in counts.items() if count}
+
+
 def family_for(p, n):
-    params = LegendreParams(p=p, n=n).resolve()
+    params = LegendreParams(p=p, n=n)
     return build_family(legendre_array(params), params)
 
 
@@ -278,6 +291,21 @@ class TestBoundReports:
         assert auto.peak_shifts.tolist() == expected_auto
         assert cross.peak_shifts.tolist() == expected_cross
         assert (len(expected_auto), len(expected_cross)) == (16, 24)
+
+    @pytest.mark.parametrize("p,n", CLOSED_FORM_GRID)
+    def test_family_reports_match_the_closed_form(self, p, n):
+        q = p**n
+        auto, cross = verify_family(family_for(p, n))
+        assert (len(auto), len(cross)) == (p, p * (p - 1) // 2)
+        for r in auto + cross:
+            expected = closed_form_histogram(r.mode, q)
+            assert r.value_histogram == expected, (r.mode, r.members)
+            assert r.off_peak_max_abs == max(abs(v) for v in expected)
+            assert len(r.peak_shifts) == sum(
+                count for v, count in expected.items() if abs(v) == r.off_peak_max_abs
+            )
+        if (p, n) == (13, 2):
+            assert len(cross[0].peak_shifts) == 13944
 
     @pytest.mark.parametrize("p,n", BOUND_GRID)
     def test_autocorrelation_bound_holds(self, p, n):
@@ -407,16 +435,16 @@ def oracle_refused():
 
 
 @functools.cache
-def resolved(p, n):
-    return LegendreParams(p=p, n=n).resolve()
+def params_for(p, n):
+    return LegendreParams(p=p, n=n)
 
 
 @st.composite
 def ternary_bases(draw):
-    """A random ternary base (not a Legendre array) and its resolved params."""
+    """A random ternary base (not a Legendre array) and its params."""
     p, n = draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]))
     cells = draw(st.lists(st.integers(-1, 1), min_size=p**n, max_size=p**n))
-    return TernaryArray(np.array(cells).reshape((p,) * n)), resolved(p, n)
+    return TernaryArray(np.array(cells).reshape((p,) * n)), params_for(p, n)
 
 
 @st.composite
@@ -519,7 +547,7 @@ class TestShearedKernel:
         # Auto: lambda(s) lambda(t - m s). Cross, m != m':
         # q A(x*) A(x* + s) - lambda(s) with x* = (m' s - t) / (m - m') mod p.
         q = p**n
-        a = legendre_array(resolved(p, n)).values.astype(np.int64)
+        a = legendre_array(params_for(p, n)).values.astype(np.int64)
         lam = np.full((p,) * n, -1)
         lam[(0,) * n] = q - 1
         idx = np.ogrid[(slice(0, p),) * (2 * n)]
@@ -945,7 +973,7 @@ class TestMemberPeak:
     @pytest.mark.parametrize("p,n", SHEARED_GRID)
     def test_all_zero_period_ties_everywhere(self, p, n):
         # every entry of every table is 0: the first is member 0's zero shift
-        base = legendre_array(resolved(p, n)).values
+        base = legendre_array(params_for(p, n)).values
         x = np.zeros((p,) * (2 * n), dtype=np.int64)
         assert member_peak(x, base) == (0, 0, (0,) * (2 * n), 0)
 

@@ -38,7 +38,7 @@ MEMBER_GRID = [(3, 2), (5, 2), (7, 2), (3, 3)]
 
 
 def make_family(p, n):
-    params = LegendreParams(p=p, n=n).resolve()
+    params = LegendreParams(p=p, n=n)
     return build_family(legendre_array(params), params)
 
 
@@ -61,7 +61,7 @@ class TestConstruction:
     def test_defining_product_identity_exhaustive(self, p, n):
         # reference: the formula on full np.indices grids; up to 28561 cells
         # per member, and (3,4) members sit at the rank limit 8
-        params = LegendreParams(p=p, n=n).resolve()
+        params = LegendreParams(p=p, n=n)
         a = legendre_array(params).values
         idx = np.indices((p,) * (2 * n))
         first = a[tuple(idx[k] for k in range(n))]
@@ -88,7 +88,7 @@ class TestConstruction:
         assert len(histograms) == 1
 
     def test_member_zero_is_separable(self):
-        params = LegendreParams(p=5, n=2).resolve()
+        params = LegendreParams(p=5, n=2)
         a = legendre_array(params)
         member = build_member(a, 0, params)
         av = a.values

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from legarray.correlation import full_correlation
-from legarray.fields import Poly, is_primitive
+from legarray.fields import Poly, find_primitive_poly, is_primitive
 from legarray.legendre import (
     LegendreParams,
     legendre_array,
@@ -173,7 +173,7 @@ class TestValidation:
 
         monkeypatch.setattr(fields_mod, "is_primitive", counting_is_primitive)
         monkeypatch.setattr(legendre_mod, "is_primitive", counting_is_primitive)
-        searched = LegendreParams(p=5, n=2).resolve()
+        searched = LegendreParams(p=5, n=2)
         assert tested[-1][0] == searched.poly
         tested.clear()
         legendre_array(searched)
@@ -206,8 +206,45 @@ class TestValidation:
             LegendreParams(p=3, n=2, poly=Poly((2, 4, 1), 5))
 
     def test_rejects_untabulated_field_before_search(self):
-        # 3^14 - 1 > 2**22: refused at construction, before any polynomial search
+        # 3^14 - 1 > 2**22: refused at construction, before any polynomial
+        # search; 3^13 fits the table, but rank 13 does not fit an array
         with pytest.raises(ValueError, match="too large to tabulate"):
             LegendreParams(p=3, n=14)
-        LegendreParams(p=3, n=13)
+        with pytest.raises(ValueError, match="rank 13 exceeds limit 8"):
+            LegendreParams(p=3, n=13)
         LegendreParams(p=4194319, n=1)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(p=3, n=9), "rank 9 exceeds limit 8"),
+            (dict(p=3, n=12, poly=Poly((1, 1), 3)), "rank 12 exceeds limit 8"),
+            (dict(p=3, n=2, poly=Poly((1, 1, 0, 1), 3)), "expected a monic polynomial of degree 2"),
+            (dict(p=5, n=2, poly=Poly((1, 1, 2), 5)), "expected a monic polynomial of degree 2"),
+            (dict(p=5, n=1, poly=Poly((1, 1, 1), 5)), "expected a monic polynomial of degree 1"),
+        ],
+    )
+    def test_refuses_at_construction_before_search(self, monkeypatch, kwargs, message):
+        import legarray.legendre as legendre_mod
+
+        def refuse(p, n):
+            raise AssertionError("searched for a polynomial")
+
+        monkeypatch.setattr(legendre_mod, "find_primitive_poly", refuse)
+        with pytest.raises(ValueError, match=message):
+            LegendreParams(**kwargs)
+
+
+class TestPolynomialFixedAtConstruction:
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 3), (3, 4), (3, 8)])
+    def test_omitted_poly_is_the_smallest_primitive(self, p, n):
+        assert LegendreParams(p, n).poly == find_primitive_poly(p, n)
+
+    def test_supplied_poly_is_kept(self):
+        poly = Poly((2, 4, 1), 5)  # primitive, and not the smallest: that is 2,1,1
+        assert find_primitive_poly(5, 2) != poly
+        assert LegendreParams(p=5, n=2, poly=poly).poly == poly
+        assert LegendreParams(p=5, n=1, poly=Poly((2, 1), 5)).poly == Poly((2, 1), 5)
+
+    def test_no_poly_for_sequences(self):
+        assert LegendreParams(p=5, n=1).poly is None

@@ -100,7 +100,7 @@ class TestUnflatten:
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
     def test_round_trip_family_members(self, p, n):
-        params = LegendreParams(p=p, n=n).resolve()
+        params = LegendreParams(p=p, n=n)
         family = build_family(legendre_array(params), params)
         for member in family:
             assert unflatten(flatten(member.arr), member.arr.dims) == member.arr
@@ -340,7 +340,7 @@ class TestExtract:
         assert f'"score": {result.score},' in json.dumps(result.to_json_dict())
 
     def test_nonzero_origin_value_refused(self):
-        params = LegendreParams(p=3, n=2, a=1).resolve()
+        params = LegendreParams(p=3, n=2, a=1)
         family = build_family(legendre_array(params), params)
         with pytest.raises(ValueError, match=r"origin value a = 0"):
             extract(flat_gray(27), family)
@@ -351,7 +351,7 @@ class TestExtract:
 
 
 def family_for(p, n):
-    params = LegendreParams(p=p, n=n).resolve()
+    params = LegendreParams(p=p, n=n)
     return build_family(legendre_array(params), params)
 
 
@@ -510,7 +510,7 @@ PINNED_EXTRACTS = {
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 3)])
 def test_extract_output_is_pinned(p, n):
-    params = LegendreParams(p, n).resolve()
+    params = LegendreParams(p, n)
     family = build_family(legendre_array(params), params)
     rng = np.random.default_rng(1000 * p + n)
     th, tw = tile_dims(family[0].arr.dims)
@@ -538,7 +538,7 @@ PINNED_EMBED_SHA256 = {
 
 @pytest.mark.parametrize("p,n", list(PINNED_EMBED_SHA256))
 def test_embed_output_is_pinned(p, n):
-    params = LegendreParams(p, n).resolve()
+    params = LegendreParams(p, n)
     base = legendre_array(params)
     rng = np.random.default_rng(2000 * p + n)
     carrier = rng.integers(0, 256, size=(1024, 1024), dtype=np.uint8)
