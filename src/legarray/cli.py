@@ -51,7 +51,7 @@ def _add_field_args(sub, with_a=False):
 
 def _legendre_from(args, a=0) -> tuple[legendre.LegendreParams, arrays.TernaryArray]:
     """Field parameters and the rank-n Legendre array built from them."""
-    poly = Poly.parse(args.poly, args.p) if args.poly else None
+    poly = None if args.poly is None else Poly.parse(args.poly, args.p)
     params = legendre.LegendreParams(p=args.p, n=args.n, a=a, poly=poly)
     return params, legendre.legendre_array(params)
 

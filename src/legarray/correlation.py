@@ -13,18 +13,22 @@ the identity). Three kernels compute such tables exactly:
 * The member kernel correlates a rank-2n integer array X with every shear
   S_m(x, y) = A(x) * A(y - m*x) of a rank-n base A: with X as a p^n x p^n
   matrix, H[s, y] = A(y + s) and C = X @ H, theta_{X,S_m}(s, t) =
-  (H @ C_m)[s, t - m*s] where C_m[y, u] = C[y, u - m*y] = C_{m-1}[y, u - y],
-  so p + 1 products give all p tables, each in sheared order. One
-  addition table of Z_p^n per (p, n) gives H and every shear index,
+  (H @ C_m)[s, t - m*s] where C_m[y, u] = C[y, u - m*y] = C_{m-1}[y, u - y].
+  One product H @ [C_m | ... | C_{m+k-1}] gives the tables of a run of k
+  members side by side, each in sheared order, with k * q**2 entries,
+  q = p^n, under a fixed budget: two products give all p tables up to
+  (13, 2), and memory stays O(q**2) entries however large p is.
+  One addition table of Z_p^n per (p, n) gives H and every shear index,
   (s, t) -> (s, t - m*s) on flat indices. Every entry and partial sum is
   an integer bounded by sum|X| * max|A|**2, so the BLAS products are exact
-  in any summation order in float32 below 2**24, in float64 below 2**53,
-  and in int64 up to 2**63 - 1. Every read is forward, table entry (s, t)
-  from product entry (s, t - m*s): `member_tables` reads whole tables as int64; `member_peak` reads the
-  global peak and the exact sum of squares straight from the products, for
-  `extract`; and `verify_family` makes its bound reports from the products
-  of S_0: theta_{S_m,S_m'}(s, t) is product m' - m at (s, t - m'*s), a
-  bijection that fixes the zero shift.
+  in any summation order, however they are split, in float32 below 2**24,
+  in float64 below 2**53, and in int64 up to 2**63 - 1. Every read is
+  forward, table entry (s, t) from product entry (s, t - m*s):
+  `member_tables` reads whole tables as int64; `member_peak` reads the
+  global peak and each member's exact sum of squares straight from the
+  products, for `extract`; and `verify_family` makes its bound reports
+  from the products of S_0: theta_{S_m,S_m'}(s, t) is product m' - m at
+  (s, t - m'*s), a bijection that fixes the zero shift.
 * `full_correlation_fast`, the FFT kernel of `corr --fast`, rounds its
   table to int64 behind a 2**53 refusal and a residual check.
 """
@@ -167,18 +171,36 @@ def shear(base: np.ndarray, m: int) -> np.ndarray:
     return np.outer(base, base).reshape(-1)[index].reshape(base.shape * 2)
 
 
+# Members are multiplied in runs of k, at most this many product entries
+# per run (k >= 1): all p in one product up to (13, 2), and a working set of
+# O(_BLOCK_ENTRIES + q*q) entries however large p is.
+_BLOCK_ENTRIES = 1 << 19
+
+
 def _products(x, base, bound, add) -> Iterator[np.ndarray]:
-    # H[s, y] = A(y + s), C = X @ H and C_m[y, u] = C_{m-1}[y, u - y]; every
-    # partial sum is an integer of magnitude <= bound, exact in the dtype
+    # H[s, y] = A(y + s), C = X @ H and C_m[y, u] = C_{m-1}[y, u - y]; each
+    # run of members m .. m + k - 1 is laid out as [C_m | ... | C_{m+k-1}]
+    # and yields block[s, j, u] = (H @ C_{m+j})[s, u] from one product;
+    # every partial sum is an integer of magnitude <= bound, exact in the
+    # dtype however BLAS splits it. One buffer holds a run and its product
+    # and each run overwrites the last, so a block must be read before the
+    # next is drawn, and a call allocates one large array, not two per run.
     p, q = base.shape[0], base.size
     dtype = np.float32 if bound < 2**24 else np.float64 if bound < 2**53 else np.int64
     h = base.reshape(-1)[add].astype(dtype)
     c = np.matmul(x.reshape(q, q).astype(dtype), h).reshape(-1)
     step = _shear_index(add, p, 1)
-    for m in range(p):
-        yield np.matmul(h, c.reshape(q, q))
-        if m < p - 1:
-            c = c[step]
+    k = min(p, max(1, _BLOCK_ENTRIES // c.size))
+    buffer = np.empty(2 * k * c.size, dtype)
+    for m in range(0, p, k):
+        width = min(k, p - m)
+        run, block = buffer[: 2 * width * c.size].reshape(2, q, width, q)
+        for j in range(width):
+            run[:, j] = c.reshape(q, q)
+            if m + j < p - 1:
+                c = c[step]
+        np.matmul(h, run.reshape(q, -1), out=block.reshape(q, -1))
+        yield block
 
 
 def _checked(x, base) -> tuple[np.ndarray, np.ndarray, int]:
@@ -197,30 +219,34 @@ def member_peak(x, base) -> tuple[int, int, tuple[int, ...], int]:
     p - 1, of the rank-2n integer array x against the shears S_m of the
     rank-n base A: the largest entry, the first position (m, shift) holding
     it in (m, C order), and the exact integer sum of squares of all p * q**2
-    entries, q = p^n. Read from the raw products, which hold each table in
-    sheared order, (s, u) for (s, u + m*s): that changes neither a table's
-    maximum nor its sum of squares, and keeps each row s. When a product's
-    peak beats the best so far, its row s is read forward in table order,
-    t -> (s, t - m*s), and its first maximum is the table's first peak.
+    entries, q = p^n. Read from the blocks of raw products, which hold each
+    table in sheared order, (s, u) for (s, u + m*s): that changes neither a
+    table's maximum nor its sum of squares, and keeps each row s. When a
+    block's peak beats the best so far, the first of its members holding it
+    gives m, the first row s of that product holding it gives s, and that
+    row is read forward in table order, t -> (s, t - m*s): its first maximum
+    is the table's first peak.
     Refuses when called, before any product, as member_tables does.
     """
     x, base, bound = _checked(x, base)
     p, q = base.shape[0], base.size
     add = _addition_table(p, base.ndim)
-    best, best_m, best_flat, energy = -math.inf, 0, 0, 0
-    for m, product in enumerate(_products(x, base, bound, add)):
-        v = product.reshape(-1).astype(np.float64, copy=False)
-        total = float(np.dot(v, v))  # exact below 2**53: no partial sum exceeds it
-        if total >= 2**53:
-            total = sum(k * k for k in product.reshape(-1).astype(np.int64).tolist())
-        energy += int(total)
-        s, u = divmod(int(np.argmax(product)), q)
-        value = int(product[s, u])
-        if value > best:
-            # the table's first peak is in row s; entry t of that row is
-            # product[s, t - m*s], with t - m*s read from the addition table
-            row = product[s, add[_multiples(p, q, -m)[s]]]
-            best, best_m, best_flat = value, m, s * q + int(np.argmax(row))
+    best, best_m, best_flat, energy, m = -math.inf, 0, 0, 0, 0
+    for block in _products(x, base, bound, add):
+        # each member's sum of squares, exact below 2**53: no partial sum exceeds it
+        for j, total in enumerate(np.einsum("sju,sju->j", block, block, dtype=np.float64).tolist()):
+            if total >= 2**53:
+                total = sum(k * k for k in block[:, j].astype(np.int64).ravel().tolist())
+            energy += int(total)
+        peaks = block.max(axis=0).max(axis=1)
+        j = int(np.argmax(peaks))
+        if int(peaks[j]) > best:
+            s = int(np.argmax(block[:, j])) // q
+            # entry t of the table's row s is product m + j's entry (s, t -
+            # (m + j)*s), with t - (m + j)*s read from the addition table
+            row = block[s, j, add[_multiples(p, q, -(m + j))[s]]]
+            best, best_m, best_flat = int(peaks[j]), m + j, s * q + int(np.argmax(row))
+        m += block.shape[1]
     shift = tuple(int(k) for k in np.unravel_index(best_flat, x.shape))
     return best, best_m, shift, energy
 
@@ -236,9 +262,11 @@ def member_tables(x, base) -> Iterator[np.ndarray]:
     x, base, bound = _checked(x, base)
     p = base.shape[0]
     add = _addition_table(p, base.ndim)
+    blocks = _products(x, base, bound, add)
+    products = (block[:, j] for block in blocks for j in range(block.shape[1]))
     return (
-        product.reshape(-1)[_shear_index(add, p, m)].astype(np.int64).reshape(x.shape)
-        for m, product in enumerate(_products(x, base, bound, add))
+        np.take(product, _shear_index(add, p, m)).astype(np.int64).reshape(x.shape)
+        for m, product in enumerate(products)
     )
 
 
@@ -476,9 +504,11 @@ def verify_family(
     p, q = family.params.p, a.size
     x, base, bound = _checked(np.multiply.outer(a, a), a)  # S_0(x, y) = A(x) * A(y)
     add = _addition_table(p, a.ndim)
+    blocks = _products(x, base, bound, add)
+    products = (block[:, d] for block in blocks for d in range(block.shape[1]))
     by_d = [
         _bound_report(product.reshape(x.shape), q, *((0, d) if d else (0,)))
-        for d, product in enumerate(_products(x, base, bound, add))
+        for d, product in enumerate(products)
     ]
     # entry s*q + t of forward[m'] is the flat index of (s, t - m'*s)
     forward = _shear_index(add, p, np.arange(p))

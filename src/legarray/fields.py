@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# Antilog tables are built and cached up to this field order;
-# power_table() refuses larger fields.
+# antilog_table() builds and caches tables up to this field order, one per
+# modulus, and refuses larger fields.
 _POWER_TABLE_LIMIT = 1 << 22
 
 
@@ -208,6 +208,7 @@ def find_primitive_poly(p: int, n: int) -> Poly:
     raise RuntimeError(f"no primitive polynomial of degree {n} over GF({p})")
 
 
+@lru_cache(maxsize=None)
 def antilog_table(modulus: Poly) -> np.ndarray:
     """Read-only (p**n - 1, n) int64 array whose row i is x**i mod `modulus`.
 
@@ -219,7 +220,8 @@ def antilog_table(modulus: Poly) -> np.ndarray:
     1, and row (p**n - 1)/q is not, for each prime q dividing p**n - 1. So
     x has order exactly p**n - 1, and the rows are the p**n - 1 distinct
     nonzero field elements. Any other modulus is refused, as are fields of
-    order above _POWER_TABLE_LIMIT.
+    order above _POWER_TABLE_LIMIT, on every call. The table is built and
+    proved once per modulus and cached, so later callers share it.
     """
     p, n = modulus.p, modulus.degree
     order = p**n - 1
@@ -248,8 +250,8 @@ class ExtField:
 
     Kept only for perfbench's `fields.powers` span; no command calls it.
     Elements are little-endian coefficient tuples of length n. The full
-    antilog table (all p**n - 1 powers of alpha) is built lazily and cached
-    for fields small enough to enumerate.
+    antilog table (all p**n - 1 powers of alpha) is antilog_table's, built
+    on first use for fields small enough to enumerate.
     """
 
     def __init__(self, p: int, n: int, modulus: Poly | None = None):
@@ -266,7 +268,6 @@ class ExtField:
         self.n = n
         self.modulus = modulus
         self.order = p**n - 1
-        self._table: np.ndarray | None = None
 
     def powers(self) -> list[tuple[int, ...]]:
         """Antilog table: [alpha**0, alpha**1, ..., alpha**(p**n - 2)].
@@ -277,14 +278,9 @@ class ExtField:
         return [tuple(row) for row in self.power_table().tolist()]
 
     def power_table(self) -> np.ndarray:
-        """Read-only (p**n - 1, n) int64 array whose row i is alpha**i.
-
-        Built once by antilog_table, which proves the modulus primitive
-        again from its rows, then cached.
-        """
-        if self._table is None:
-            self._table = antilog_table(self.modulus)
-        return self._table
+        """Read-only (p**n - 1, n) int64 array whose row i is alpha**i:
+        antilog_table's cached table of the modulus."""
+        return antilog_table(self.modulus)
 
     def __repr__(self) -> str:
         return f"ExtField(p={self.p}, n={self.n}, modulus={self.modulus})"

@@ -164,11 +164,12 @@ def embed(
     Output pixel (r, c) = clamp(img(r, c) + strength * W[r mod th, c mod tw])
     where W = flatten(cyclic_shift(member, payload.shifts)) and clamp is to
     [0, 255]. Any strength >= 255 already drives every +1 cell to 255 and
-    every -1 cell to 0, so it is saturated at 255 and the int16 arithmetic
-    below never wraps. One (th, width) int16 band of strength * W is added
-    by broadcasting to each band of th carrier rows, into one int16 buffer;
-    the buffer is clipped in place and cast to uint8 once. That is three
-    passes over the pixels: add, clip, cast.
+    every -1 cell to 0, so it is saturated at 255 and the mark fits in
+    uint8: hi = strength where W is +1 and lo = strength where W is -1, as
+    (th, width) bands, each 0 elsewhere. Written straight into the output
+    by saturating uint8 arithmetic, each band broadcast to every band of th
+    carrier rows: min(img, 255 - hi), then max with lo, then + hi - lo,
+    which is clamp(img + hi - lo) with no wider buffer and no cast.
     """
     p = member.params.p
     if payload.m != member.m:
@@ -186,15 +187,21 @@ def embed(
             f"image {img.width}x{img.height} smaller than one {tw}x{th} watermark tile"
         )
     height, width = img.height, img.width
-    band = np.tile(w.astype(np.int16) * min(cfg.strength, 255), (1, -(-width // tw)))[:, :width]
-    marked = np.empty((height, width), dtype=np.int16)
+    strength = np.uint8(min(cfg.strength, 255))
+    reps = (1, -(-width // tw))
+    hi, lo = (np.tile(strength * mask, reps)[:, :width] for mask in (w > 0, w < 0))
+    top = 255 - hi
+    marked = np.empty((height, width), dtype=np.uint8)
     whole = height - height % th
-    np.add(
-        img.pixels[:whole].reshape(-1, th, width), band, out=marked[:whole].reshape(-1, th, width)
-    )
-    np.add(img.pixels[whole:], band[: height - whole], out=marked[whole:])
-    np.clip(marked, 0, 255, out=marked)
-    return GrayImage(marked.astype(np.uint8))
+    for rows, out, k in (
+        (img.pixels[:whole].reshape(-1, th, width), marked[:whole].reshape(-1, th, width), th),
+        (img.pixels[whole:], marked[whole:], height - whole),
+    ):
+        np.minimum(rows, top[:k], out=out)
+        np.maximum(out, lo[:k], out=out)
+        out += hi[:k]
+        out -= lo[:k]
+    return GrayImage(marked)
 
 
 def extract(

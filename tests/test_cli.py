@@ -655,6 +655,15 @@ class TestUsage:
         code, _, err = run(capsys, "gen-legendre", "--p", "3", "--n", "2", "--poly", "a,b")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["gen-legendre", "extract"])
+    def test_empty_poly_string_exits_1(self, capsys, tmp_path, command):
+        # an empty --poly is a bad polynomial, not the default one
+        carrier = tmp_path / "in.pgm"
+        carrier.write_bytes(images.write_pgm(images.GrayImage(np.full((27, 27), 128, np.uint8))))
+        image = ["--image", str(carrier)] if command == "extract" else []
+        code, out, err = run(capsys, command, *image, "--p", "3", "--n", "2", "--poly", "")
+        assert (code, out, err) == (1, "", "legarray: error: bad polynomial string ''\n")
+
     @pytest.mark.parametrize(
         "poly,message",
         [

@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -577,7 +578,7 @@ class TestShearedKernel:
         base, members = base_and_members(c)
         with product_dtypes() as dtypes:
             tables = pair_tables(base, pairs)
-        assert dtypes == [np.int64] * 4
+        assert dtypes == two_products(np.int64, base)
         for (m, m2), table in zip(pairs, tables, strict=True):
             assert np.array_equal(table, full_correlation(members[m], members[m2]).values)
         base, members = base_and_members(c + 1)
@@ -639,9 +640,10 @@ class TestShearedKernel:
     @pytest.mark.parametrize("p,n", SHEARED_GRID + [(11, 2), (13, 2), (3, 4)])
     def test_verify_family_products_run_in_float32(self, p, n):
         # S_0 of a ternary base bounds every partial sum by (q - 1)**2 < 2**24
+        family = family_for(p, n)
         with product_dtypes() as dtypes:
-            verify_family(family_for(p, n))
-        assert dtypes == [np.float32] * (p + 1)
+            verify_family(family)
+        assert dtypes == two_products(np.float32, family.base.values)
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
     def test_verify_family_reports_from_the_float32_products(self, p, n, monkeypatch):
@@ -732,17 +734,25 @@ def abs_sum(x) -> int:
 
 @contextlib.contextmanager
 def product_dtypes():
-    """Record the dtype of every np.matmul product made inside the block."""
+    """Record every np.matmul product made inside the block as (dtype, shape)."""
     dtypes = []
     real = np.matmul
 
-    def recorded(a, b):
-        dtypes.append(np.result_type(a, b))
-        return real(a, b)
+    def recorded(a, b, **kwargs):
+        out = real(a, b, **kwargs)
+        dtypes.append((out.dtype, out.shape))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "matmul", recorded)
         yield dtypes
+
+
+def two_products(dtype, base):
+    """The products of one kernel call on the base A, q = A.size: C = X @ H,
+    (q, q), then H @ [C_0 | ... | C_{p-1}], (q, p*q), both in `dtype`."""
+    p, q = base.shape[0], base.size
+    return [(dtype, (q, q)), (dtype, (q, p * q))]
 
 
 @st.composite
@@ -772,7 +782,7 @@ class TestMemberTablesKernel:
         x = with_bound(rng, base, 2 * n, bound, top=2**12)
         with product_dtypes() as dtypes:
             tables = list(member_tables(x, base))
-        assert dtypes == [dtype] * (p + 1)
+        assert dtypes == two_products(dtype, base)
         for table, expected in zip(tables, oracle_tables(x, base), strict=True):
             assert table.dtype == np.int64 and np.array_equal(table, expected)
 
@@ -784,7 +794,7 @@ class TestMemberTablesKernel:
         x = with_bound(rng, base, 2 * n, (2**53 - 1) // 9 * 9)
         with product_dtypes() as dtypes:
             tables = list(member_tables(x, base))
-        assert dtypes == [np.float64] * (p + 1)
+        assert dtypes == two_products(np.float64, base)
         for table, expected in zip(tables, oracle_tables(x, base), strict=True):
             assert table.dtype == np.int64 and np.array_equal(table, expected)
 
@@ -796,7 +806,7 @@ class TestMemberTablesKernel:
         x = with_bound(rng, base, 4, bound)
         with product_dtypes() as dtypes:
             tables = list(member_tables(x, base))
-        assert dtypes == [np.int64] * 4
+        assert dtypes == two_products(np.int64, base)
         for table, expected in zip(tables, oracle_tables(x, base), strict=True):
             assert np.array_equal(table, expected)
 
@@ -966,7 +976,7 @@ class TestMemberPeak:
         x, base, dtype = case
         with product_dtypes() as dtypes:
             peak = member_peak(x, base)
-        assert dtypes == [dtype] * (base.shape[0] + 1)
+        assert dtypes == two_products(dtype, base)
         assert peak == peak_by_definition(x, base)
         assert all(type(k) is int for k in (peak[0], peak[1], *peak[2], peak[3]))
 
@@ -1006,6 +1016,78 @@ class TestMemberPeak:
 
         monkeypatch.setattr(np, "flatnonzero", refused)
         assert member_peak(x, base) == expected
+
+
+class TestMemberRuns:
+    """Members multiplied in runs of k under a budget of product entries:
+    any split gives the tables, peak and reports of one run, and the
+    working set stays a few q x q arrays however large p is."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_runs_of_k_members_match_one_run(self, k, monkeypatch):
+        # x = S_1 + S_3: tables 1 and 3 tie at their zero shifts, in one run
+        # or in two, and the first peak is table 1's
+        family = family_for(5, 2)
+        base, q = family.base.values, 25
+        x = family[1].arr.values + family[3].arr.values
+        expected = verify_family(family)
+        monkeypatch.setattr(correlation, "_BLOCK_ENTRIES", k * q * q)
+        with product_dtypes() as dtypes:
+            peak = member_peak(x, base)
+        widths = [min(k, 5 - m) for m in range(0, 5, k)]
+        assert dtypes == [(np.float32, (q, q))] + [(np.float32, (q, w * q)) for w in widths]
+        oracle = oracle_tables(x, base)
+        assert peak[:3] == (oracle[1].max(), 1, (0, 0, 0, 0)) and oracle[3].max() == peak[0]
+        assert peak == peak_by_definition(x, base)
+        for table, expected_table in zip(member_tables(x, base), oracle, strict=True):
+            assert np.array_equal(table, expected_table)
+        auto, cross = verify_family(family)
+        assert (auto, cross) == expected
+        assert [r.to_json_dict() for r in auto + cross] == [
+            r.to_json_dict() for r in expected[0] + expected[1]
+        ]
+
+    @pytest.mark.parametrize(
+        "p,n,top,dtype",
+        [(7, 1, 2**12, np.float32), (3, 3, 2**20, np.float32), (7, 2, 2**40, np.float64),
+         (3, 3, 2**62, np.int64)],
+    )
+    def test_one_product_equals_each_members_own(self, p, n, top, dtype):
+        # one (q, p*q) product holds the same integers as p (q, q) products
+        # H @ C_m, however BLAS splits either, in each dtype tier
+        q = p**n
+        base = legendre_array(params_for(p, n)).values
+        x = np.random.default_rng(p * n).integers(-top, top, size=(p,) * (2 * n)) // (p ** (2 * n))
+        x, base, bound = correlation._checked(x, base)
+        add = correlation._addition_table(p, n)
+        (block,) = correlation._products(x, base, bound, add)
+        assert block.dtype == dtype
+        h = base.reshape(-1)[add].astype(block.dtype)
+        c = np.matmul(x.reshape(q, q).astype(block.dtype), h).reshape(-1)
+        for m in range(p):
+            c_m = c[correlation._shear_index(add, p, m)].reshape(q, q)
+            assert np.array_equal(block[:, m], np.matmul(h, c_m)), m
+
+    def test_working_set_stays_a_few_q_squared_arrays(self):
+        # at (23, 2) a run is one member: the kernel holds less than the p
+        # float32 products side by side would take, let alone their inputs
+        p, n = 23, 2
+        q = p**n
+        base = legendre_array(params_for(p, n)).values
+        x = np.random.default_rng(0).integers(-50, 50, size=(p,) * (2 * n))
+
+        def drained():  # each table dropped as the next is made
+            for table in member_tables(x, base):
+                table.item(0)
+
+        for call in (lambda: member_peak(x, base), drained):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * q * q * 8 < p * q * q * 4
 
 
 class TestWelchMetrics:

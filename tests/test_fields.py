@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from legarray import fields
@@ -261,6 +262,23 @@ class TestAntilogTable:
             else:
                 with pytest.raises(ValueError, match="is not primitive"):
                     antilog_table(poly)
+
+    def test_one_read_only_table_per_modulus(self):
+        table = antilog_table(Poly((2, 2, 1), 3))
+        assert antilog_table(Poly((2, 2, 1, 0), 3)) is table  # the same modulus
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 2
+        fresh = antilog_table.__wrapped__(Poly((2, 2, 1), 3))
+        assert fresh is not table and np.array_equal(fresh, table)
+
+    def test_refuses_a_non_primitive_modulus_on_every_call(self):
+        # a refusal is not cached: each call builds and tests the table again
+        before = antilog_table.cache_info()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="is not primitive"):
+                antilog_table(Poly((1, 0, 1), 3))
+        after = antilog_table.cache_info()
+        assert (after.misses - before.misses, after.currsize) == (3, before.currsize)
 
     def test_refuses_a_non_monic_modulus(self):
         with pytest.raises(ValueError, match="expected a monic polynomial of degree 2"):

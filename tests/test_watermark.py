@@ -233,6 +233,30 @@ class TestEmbed:
         assert out.pixels.dtype == np.uint8
         assert np.array_equal(out.pixels, expected)
 
+    @pytest.mark.parametrize("strength", [0, 1, 3, 254, 255, 256, 10**6])
+    @pytest.mark.parametrize(
+        "p,n,shape", [(3, 2, (22, 31)), (3, 3, (170, 40))], ids=["3-2", "3-3-strip"]
+    )
+    def test_uint8_mark_equals_its_definition_at_the_rails(self, p, n, shape, strength):
+        # clamp(img + strength * W) in int64 on carriers full of 0 and 255
+        # pixels; both sides end in a partial tile, and at (3,3) the rank-6
+        # member folds to an 81 x 9 strip
+        family = family_for(p, n)
+        th, tw = tile_dims(family.base.dims * 2)
+        assert shape[0] % th and shape[1] % tw
+        rng = np.random.default_rng(strength % 1000 + shape[0])
+        levels = np.array([0, 0, 1, 2, 3, 128, 252, 253, 254, 255, 255], dtype=np.uint8)
+        pixels = rng.choice(levels, size=shape)
+        assert (pixels == 0).any() and (pixels == 255).any()
+        m = int(rng.integers(1, p))
+        payload = Payload(m, tuple(int(k) for k in rng.integers(0, p, size=2 * n)))
+        out = embed(GrayImage(pixels), family[m], payload, EmbedConfig(strength))
+        w = flatten(family[m].arr.cyclic_shift(payload.shifts)).values.astype(np.int64)
+        tiled = np.tile(w, (-(-shape[0] // th), -(-shape[1] // tw)))[: shape[0], : shape[1]]
+        expected = np.clip(pixels.astype(np.int64) + strength * tiled, 0, 255)
+        assert out.pixels.dtype == np.uint8
+        assert np.array_equal(out.pixels, expected)
+
     def test_validation(self, family_3_2):
         member = family_3_2[1]
         with pytest.raises(ValueError):
@@ -393,16 +417,16 @@ class TestMemberTables:
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
     def test_transform_count(self, p, n, monkeypatch):
-        # extract and verify_family each make p + 1 matrix products of
-        # p^n x p^n cells, and no FFT
+        # extract and verify_family each make two matrix products, C = X @ H
+        # of q x q cells and H @ [C_0 | ... | C_{p-1}] of q x p*q, and no FFT
         family = family_for(p, n)
         th, tw = tile_dims(family[0].arr.dims)
         q = p**n
         shapes = []
         real = np.matmul
 
-        def counted(a, b):
-            out = real(a, b)
+        def counted(a, b, **kwargs):
+            out = real(a, b, **kwargs)
             shapes.append(out.shape)
             return out
 
@@ -413,10 +437,10 @@ class TestMemberTables:
         for name in ("fftn", "rfftn", "irfftn"):
             monkeypatch.setattr(np.fft, name, no_transform)
         extract(flat_gray(2 * max(th, tw)), family)
-        assert shapes == [(q, q)] * (p + 1)
+        assert shapes == [(q, q), (q, p * q)]
         shapes.clear()
         verify_family(family)
-        assert shapes == [(q, q)] * (p + 1)
+        assert shapes == [(q, q), (q, p * q)]
 
 
 def reference_extract(img, family):
