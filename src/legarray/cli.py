@@ -226,9 +226,10 @@ def _parse_shifts(text: str) -> tuple[int, ...]:
 
 def _cmd_embed(args) -> int:
     params, base = _legendre_from(args)
-    member = build_member(base, args.m, params)
+    # the payload and carrier are checked before the p^(2n)-cell member is built
     payload = watermark.Payload(m=args.m, shifts=_parse_shifts(args.shifts))
     img = images.read_pgm(Path(args.image).read_bytes())
+    member = build_member(base, args.m, params)
     marked = watermark.embed(img, member, payload, watermark.EmbedConfig(args.strength))
     Path(args.out).write_bytes(images.write_pgm(marked))
     return EXIT_OK
@@ -335,7 +336,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.fn(args)
-    except (ValueError, OSError, correlation.PrecisionError) as e:
+    except (ValueError, OSError, MemoryError, correlation.PrecisionError) as e:
         print(f"legarray: error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -530,7 +530,7 @@ def verify_family(
 @dataclass(frozen=True)
 class WelchMetrics:
     """Exact rational comparison of the family's bound-to-peak ratio
-    against the p^n / p^{2n} lower-bound benchmark."""
+    against the p^n / p^{2n} benchmark ratio."""
 
     p: int
     n: int

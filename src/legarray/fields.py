@@ -5,9 +5,9 @@ for primality and factoring, and one representation of GF(p)[x]/(f), the
 companion matrix X of multiplication by x modulo the monic f. A row vector
 of coefficients times X is the element times x, so powers of X give the
 multiplicative-order test for primitivity and the powers of the generator
-by doubling. The antilog table proves its own modulus primitive from its
-rows. An array's field is its modulus alone, which LegendreParams fixes
-when it is made.
+by doubling. antilog_table is the one GF(p^n) table and the one proof of
+its modulus: it proves the modulus primitive from its own rows. An array's
+field is its modulus alone, which LegendreParams fixes when it is made.
 The primitive-polynomial search skips every constant term c_0 whose norm
 (-1)^n * c_0 is not a primitive root mod p; the order test stays the only
 authority on the candidates that remain.
@@ -246,41 +246,13 @@ def antilog_table(modulus: Poly) -> np.ndarray:
 
 
 class ExtField:
-    """GF(p^n) presented as GF(p)[x]/(modulus) with generator alpha = x.
+    """GF(p^n) as GF(p)[x]/(modulus), kept only while perfbench's
+    `fields.powers` span names it. antilog_table is the one GF(p^n) table
+    and proof of its modulus, so this class checks nothing of its own."""
 
-    Kept only for perfbench's `fields.powers` span; no command calls it.
-    Elements are little-endian coefficient tuples of length n. The full
-    antilog table (all p**n - 1 powers of alpha) is antilog_table's, built
-    on first use for fields small enough to enumerate.
-    """
-
-    def __init__(self, p: int, n: int, modulus: Poly | None = None):
-        _check_odd_prime(p)
-        if n < 1:
-            raise ValueError(f"extension degree must be >= 1, got {n}")
-        if modulus is None:
-            modulus = find_primitive_poly(p, n)
-        if modulus.p != p:
-            raise ValueError("modulus characteristic does not match p")
-        if not is_primitive(modulus, n):
-            raise ValueError(f"{modulus} is not primitive of degree {n} over GF({p})")
-        self.p = p
-        self.n = n
+    def __init__(self, modulus: Poly):
         self.modulus = modulus
-        self.order = p**n - 1
 
     def powers(self) -> list[tuple[int, ...]]:
-        """Antilog table: [alpha**0, alpha**1, ..., alpha**(p**n - 2)].
-
-        The rows of power_table() as coefficient tuples; every nonzero
-        field element appears exactly once.
-        """
-        return [tuple(row) for row in self.power_table().tolist()]
-
-    def power_table(self) -> np.ndarray:
-        """Read-only (p**n - 1, n) int64 array whose row i is alpha**i:
-        antilog_table's cached table of the modulus."""
-        return antilog_table(self.modulus)
-
-    def __repr__(self) -> str:
-        return f"ExtField(p={self.p}, n={self.n}, modulus={self.modulus})"
+        """The rows of antilog_table(modulus), x**0 to x**(p**n - 2), as tuples."""
+        return [tuple(row) for row in antilog_table(self.modulus).tolist()]

@@ -540,6 +540,16 @@ class TestFlattenRender:
         img = images.read_pgm(dst.read_bytes())
         assert (img.width, img.height) == (36, 36)
 
+    def test_image_too_large_to_allocate_exits_1(self, capsys, tmp_path):
+        # a 20000000^2 image is 364 TiB, past any 47-bit address space
+        src = tmp_path / "one.nda"
+        src.write_text("NDA1\n2\n1 1\nternary\n1\n")
+        dst = tmp_path / "one.pgm"
+        code, out, err = run(capsys, "render", str(src), "--out", str(dst), "--scale", "20000000")
+        assert (code, out) == (1, "")
+        assert err.startswith("legarray: error: Unable to allocate")
+        assert not dst.exists()
+
 
 class TestWatermarkCommands:
     def test_embed_extract_round_trip(self, capsys, tmp_path):
@@ -628,6 +638,23 @@ class TestWatermarkCommands:
         expected = np.select([w > 0, w < 0], [255, 0], 250)
         got = images.read_pgm(marked.read_bytes()).pixels
         assert np.array_equal(got, np.tile(expected, (3, 3)))
+
+    def test_embed_reads_its_carrier_before_the_member(self, capsys, tmp_path):
+        # the (1009, 2) member would need 7.54 TiB; the missing carrier is found first
+        code, out, err = run(
+            capsys, "embed", "--image", str(tmp_path / "missing.pgm"), "--p", "1009",
+            "--n", "2", "--m", "0", "--shifts", "0,0,0,0", "--out", str(tmp_path / "x.pgm"),
+        )
+        assert (code, out) == (1, "")
+        assert "No such file or directory" in err
+
+    def test_kernel_out_of_memory_exits_1(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(correlation, "verify_family", refuse)
+        code, out, err = run(capsys, "verify", "--p", "3", "--n", "2")
+        assert (code, out, err) == (1, "", "legarray: error: Unable to allocate 1.00 TiB\n")
 
     def test_embed_validates_shifts(self, capsys, tmp_path):
         carrier = tmp_path / "in.pgm"

@@ -236,14 +236,19 @@ class TestFindPrimitivePoly:
         assert checked >= 40
 
 
-def powers_by_recurrence(field):
+def powers_by_recurrence(modulus):
     """Reference antilog table: multiply by x and reduce, one power at a time."""
-    cur = [1] + [0] * (field.n - 1)
+    p, n = modulus.p, modulus.degree
+    cur = [1] + [0] * (n - 1)
     table = [tuple(cur)]
-    for _ in range(field.order - 1):
-        cur = times_x(cur, field.modulus.coeffs, field.p)
+    for _ in range(p**n - 2):
+        cur = times_x(cur, modulus.coeffs, p)
         table.append(tuple(cur))
     return table
+
+
+def table_rows(modulus):
+    return [tuple(row) for row in antilog_table(modulus).tolist()]
 
 
 class TestAntilogTable:
@@ -257,8 +262,7 @@ class TestAntilogTable:
         for tail in itertools.product(range(p), repeat=n):
             poly = Poly(tail + (1,), p)
             if x_order_by_repeated_mul(poly, n) == p**n - 1:
-                rows = [tuple(row) for row in antilog_table(poly).tolist()]
-                assert rows == powers_by_recurrence(ExtField(p, n, poly))
+                assert table_rows(poly) == powers_by_recurrence(poly)
             else:
                 with pytest.raises(ValueError, match="is not primitive"):
                     antilog_table(poly)
@@ -290,33 +294,27 @@ class TestPowers:
         small = [(p, n) for p in range(3, 2000) if is_prime(p)
                  for n in range(1, 7) if p**n <= 2000]
         for p, n in small + [(7, 4), (3, 7), (23, 3), (5, 5), (3, 8)]:
-            field = ExtField(p, n)
-            assert field.powers() == powers_by_recurrence(field), (p, n)
-
-    def test_cached_table_is_read_only(self):
-        table = ExtField(5, 2).power_table()
-        with pytest.raises(ValueError):
-            table[0, 0] = 2
+            modulus = find_primitive_poly(p, n)
+            assert table_rows(modulus) == powers_by_recurrence(modulus), (p, n)
 
     def test_first_powers(self):
-        field = ExtField(5, 2, Poly((2, 4, 1), 5))
         # x^2 = -4x - 2 = x + 3
-        assert field.powers()[:3] == [(1, 0), (0, 1), (3, 1)]
+        assert table_rows(Poly((2, 4, 1), 5))[:3] == [(1, 0), (0, 1), (3, 1)]
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (7, 1)])
     def test_powers_enumerate_all_nonzero_elements(self, p, n):
-        field = ExtField(p, n)
-        table = field.powers()
+        table = table_rows(find_primitive_poly(p, n))
         assert len(table) == p**n - 1
         assert len(set(table)) == p**n - 1
         assert (0,) * n not in table
 
     def test_power_refuses_untabulated_field(self):
-        # 4194319 > 2**22: powers() reads the antilog table, which is not built
-        field = ExtField(4194319, 1)
+        # 4194319 > 2**22: the field is too large for an antilog table
         with pytest.raises(ValueError, match="too large to tabulate"):
-            field.powers()
+            antilog_table(Poly((1, 1), 4194319))
 
-    def test_rejects_non_primitive_modulus(self):
-        with pytest.raises(ValueError):
-            ExtField(3, 2, Poly((1, 0, 1), 3))
+    def test_ext_field_reads_the_antilog_table(self):
+        modulus = find_primitive_poly(5, 2)
+        assert ExtField(modulus).powers() == table_rows(modulus)
+        with pytest.raises(ValueError, match="is not primitive"):
+            ExtField(Poly((1, 0, 1), 3)).powers()

@@ -509,6 +509,41 @@ class TestExtractAgainstReference:
         assert extract(marked, family_3_2) == expected
 
 
+def _clip(values):
+    return GrayImage(np.clip(values, 0, 255).astype(np.uint8))
+
+
+# each attack maps (marked pixels, tile shape, rng) to the attacked image;
+# flips, transposes and the half-turn are left out, as they decode wrong
+ATTACKS = {
+    "none": lambda px, tile, rng: GrayImage(px),
+    "gain-0.5": lambda px, tile, rng: _clip(np.rint(px * 0.5)),
+    "offset+40": lambda px, tile, rng: _clip(px.astype(np.int64) + 40),
+    "noise-8": lambda px, tile, rng: _clip(np.rint(px + rng.normal(0, 8, px.shape))),
+    "noise-32": lambda px, tile, rng: _clip(np.rint(px + rng.normal(0, 32, px.shape))),
+    "requantise-16": lambda px, tile, rng: GrayImage(px // 16 * 16),
+    "crop-tile": lambda px, tile, rng: GrayImage(np.ascontiguousarray(px[tile[0]:, tile[1]:])),
+}
+
+
+class TestAttackMatrix:
+    """Marks on uniform-noise carriers decode right and confident after each
+    attack: strength 3, a random member m >= 1 and random shifts, seeds 0-4."""
+
+    @pytest.mark.parametrize("attack", list(ATTACKS))
+    @pytest.mark.parametrize("p,n,side", [(3, 2, 243), (5, 2, 400), (3, 3, 243)])
+    def test_attacked_mark_decodes_confident(self, p, n, side, attack):
+        family = family_for(p, n)
+        tile = tile_dims(family[0].arr.dims)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            carrier = rng.integers(0, 256, size=(side, side), dtype=np.uint8)
+            payload = Payload(int(rng.integers(1, p)), tuple(rng.integers(p, size=2 * n)))
+            marked = embed(GrayImage(carrier), family[payload.m], payload, EmbedConfig(3))
+            result = extract(ATTACKS[attack](marked.pixels, tile, rng), family)
+            assert (result.payload, result.confident) == (payload, True), (seed, result.snr)
+
+
 # extract(...).to_json_dict() recorded once the tables became exact integers
 # computed from the base array's spectrum. score is the integer peak; snr is
 # computed from the exact integer sum of squares, which no summation order
